@@ -13,9 +13,9 @@ measures one acquisition per point.
 
 from repro.campaign import CampaignRunner, ParameterGrid, overhead_trial
 
-from benchmarks.conftest import CACHE_DIR, run_once
+from repro.scenarios import materialize, pool_spec
 
-from repro.scenarios import build_pool_scenario
+from benchmarks.conftest import CACHE_DIR, run_once
 
 N_SWEEP = [1, 3, 5, 9, 15]
 
@@ -83,8 +83,8 @@ def bench_e10_generation_wallclock(benchmark):
     """Real (host) wall-clock of a full N=3 generation, for regression
     tracking of the simulator itself."""
     def one_generation():
-        scenario = build_pool_scenario(seed=711, num_providers=3,
-                                       pool_size=40)
+        scenario = materialize(pool_spec(num_providers=3, pool_size=40),
+                               711)
         return scenario.generate_pool_sync()
 
     pool = benchmark(one_generation)

@@ -6,8 +6,9 @@ DoH resolvers (steps 1-2), each resolver recurses to the c/d/e.ntpns.org
 nameservers (steps 3-4), the answers are combined (step 5) and the
 resulting pool drives a successful Chronos synchronisation.
 
-Declared as a (single-point) campaign grid over the ``figure1`` preset;
-the shared :func:`repro.campaign.figure1_system_trial` reports the
+Declared as a (single-point) campaign grid over Figure 1's three
+providers; the shared :func:`repro.campaign.figure1_system_trial`
+builds the world with :func:`repro.scenarios.pool_spec` and reports the
 per-resolver answer/latency breakdown the Figure 1 table shows.
 """
 
@@ -16,7 +17,7 @@ from repro.campaign import CampaignRunner, ParameterGrid, figure1_system_trial
 from benchmarks.conftest import CACHE_DIR, run_once
 
 GRID = ParameterGrid(
-    {"preset": ("figure1",)},
+    {"num_providers": (3,)},
     name="e1_system_overview",
 )
 

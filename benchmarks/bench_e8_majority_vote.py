@@ -8,11 +8,11 @@ while the majority vote yields an *all-benign* (but smaller) pool — the
 availability/strength trade-off, including its interaction with answer
 rotation (heavy rotation starves the vote of overlap).
 
-Declared as a campaign grid over the pool population; the shared
-:func:`repro.campaign.pool_attack_trial` reports both the combined pool
-and the per-address vote for every point. The voted pool size is the
-one genuinely noisy metric here (rotation overlap varies per world), so
-the full run samples it adaptively: every point gets at least
+Declared as a grid-over-spec campaign over the pool population
+(``pool.size``); :func:`repro.campaign.spec_trial` reports both the
+combined pool and the per-address vote for every point. The voted pool
+size is the one genuinely noisy metric here (rotation overlap varies
+per world), so the full run samples it adaptively: every point gets at least
 ``TRIALS`` trials, and points whose 95% CI on ``voted_size`` is still
 wider than ±0.5 addresses keep earning deterministically-seeded extras up
 to ``MAX_TRIALS``.
@@ -22,8 +22,9 @@ from repro.campaign import (
     AdaptiveSampling,
     CampaignRunner,
     ParameterGrid,
-    pool_attack_trial,
+    spec_trial,
 )
+from repro.scenarios.spec import apply_paths, pool_spec
 
 from benchmarks.conftest import CACHE_DIR, JOURNAL_DIR, run_once
 
@@ -32,21 +33,21 @@ FORGED = tuple(f"203.0.113.{i + 1}" for i in range(4))
 TRIALS = 5          # floor: rotation overlap varies per world
 MAX_TRIALS = 12     # adaptive budget for high-variance points
 
-GRID = ParameterGrid(
-    {"pool_size": (4, 8, 20, 60)},
-    fixed={"num_providers": 3, "answers_per_query": 4, "corrupted": 1,
-           "forged": FORGED},
+GRID = ParameterGrid.over_spec(
+    apply_paths(pool_spec(num_providers=3, answers_per_query=4),
+                {"provider.corrupted": 1, "provider.forged": FORGED}),
+    {"pool.size": (4, 8, 20, 60)},
     name="e8_majority_vote",
 )
 
-RUNNER = CampaignRunner(pool_attack_trial, trials_per_point=TRIALS,
+RUNNER = CampaignRunner(spec_trial, trials_per_point=TRIALS,
                         base_seed=500, cache_dir=CACHE_DIR,
                         journal_dir=JOURNAL_DIR,
                         adaptive=AdaptiveSampling(max_trials=MAX_TRIALS,
                                                   ci_width=1.0,
                                                   metric="voted_size"))
 
-SMOKE_RUNNER = CampaignRunner(pool_attack_trial, base_seed=500,
+SMOKE_RUNNER = CampaignRunner(spec_trial, base_seed=500,
                               cache_dir=CACHE_DIR)
 
 
@@ -59,7 +60,7 @@ def bench_e8_majority_vote(benchmark, emit_table, smoke, results_dir):
     for summary in result.summaries:
         voted = summary["voted_size"]
         rows.append([
-            summary.params["pool_size"],
+            summary.params["pool.size"],
             round(summary["pool_size"].mean),
             f"{summary['attacker_share'].mean:.0%}",
             f"{voted.mean:.1f}",
@@ -87,7 +88,9 @@ def bench_e8_majority_vote(benchmark, emit_table, smoke, results_dir):
         assert abs(summary["attacker_share"].mean - 1 / 3) < 1e-9
         assert summary["voted_attacker_share"].mean == 0.0  # vote soundness
     # Overlap economics: tiny population => the vote keeps everything.
-    assert result.metric("voted_size", pool_size=4).mean == 4
+    def voted(size):
+        return result.metric("voted_size", **{"pool.size": size}).mean
+
+    assert voted(4) == 4
     # Heavy rotation => fewer (possibly zero) quorum winners.
-    assert (result.metric("voted_size", pool_size=60).mean
-            <= result.metric("voted_size", pool_size=4).mean)
+    assert voted(60) <= voted(4)

@@ -4,7 +4,8 @@ E6 sweeps only the ``loss_rate`` axis; this benchmark exercises the
 remaining :class:`repro.netsim.link.FaultModel` knobs — ``jitter_s``
 (bounded extra delay), ``reorder_window`` (hold-back displacement) and
 ``duplicate_rate`` (a second delivered copy) — on the client access
-link of the ``degraded-network`` preset.
+link of the ``degraded-network`` preset spec, swept as
+``network.fault.*`` paths through :func:`repro.campaign.spec_trial`.
 
 Claim measured: Algorithm 1 over the unified transport is *correct*
 under every non-lossy fault the model can impose. Jitter and
@@ -14,28 +15,27 @@ discipline, never double-delivered. Faults therefore cost elapsed time,
 not availability and not pool quality.
 """
 
-from repro.campaign import CampaignRunner, ParameterGrid, pool_attack_trial
+from repro.campaign import CampaignRunner, ParameterGrid, spec_trial
+from repro.scenarios.presets import degraded_network_spec
 
 from benchmarks.conftest import CACHE_DIR, run_once
 
-FIXED = {"preset": "degraded-network", "corrupted": 0}
+JITTER = "network.fault.jitter_s"
+REORDER = "network.fault.reorder_window"
+DUPLICATE = "network.fault.duplicate_rate"
 
-GRID = ParameterGrid(
-    {"jitter_s": (0.0, 0.04), "reorder_window": (0.0, 0.04),
-     "duplicate_rate": (0.0, 0.25)},
-    fixed=FIXED,
-    name="r1_robustness",
-)
-RUNNER = CampaignRunner(pool_attack_trial, trials_per_point=3,
+AXES = {JITTER: (0.0, 0.04), REORDER: (0.0, 0.04), DUPLICATE: (0.0, 0.25)}
+
+GRID = ParameterGrid.over_spec(degraded_network_spec(), AXES,
+                               name="r1_robustness")
+RUNNER = CampaignRunner(spec_trial, trials_per_point=3,
                         base_seed=1100, cache_dir=CACHE_DIR)
 
-SMOKE_GRID = ParameterGrid.from_points(
-    [{"jitter_s": 0.0, "reorder_window": 0.0, "duplicate_rate": 0.0},
-     {"jitter_s": 0.04, "reorder_window": 0.04, "duplicate_rate": 0.25}],
-    fixed=FIXED,
-    name="r1_robustness_smoke",
-)
-SMOKE_RUNNER = CampaignRunner(pool_attack_trial, base_seed=1100,
+# The smoke grid keeps the two corners: fault-free and every fault on.
+SMOKE_GRID = ParameterGrid.over_spec(
+    degraded_network_spec(), AXES, name="r1_robustness_smoke",
+).where(lambda p: len({value > 0.0 for value in p.values()}) == 1)
+SMOKE_RUNNER = CampaignRunner(spec_trial, base_seed=1100,
                               cache_dir=CACHE_DIR)
 
 
@@ -48,9 +48,9 @@ def bench_r1_robustness(benchmark, emit_table, smoke, results_dir):
     for summary in result.summaries:
         elapsed = summary["elapsed"]
         rows.append([
-            f"{summary.params['jitter_s'] * 1000:.0f} ms",
-            f"{summary.params['reorder_window'] * 1000:.0f} ms",
-            f"{summary.params['duplicate_rate']:.0%}",
+            f"{summary.params[JITTER] * 1000:.0f} ms",
+            f"{summary.params[REORDER] * 1000:.0f} ms",
+            f"{summary.params[DUPLICATE]:.0%}",
             "yes" if summary["ok"].mean == 1.0 else
             f"{summary['ok'].mean:.0%}",
             round(summary["pool_size"].mean),
@@ -78,15 +78,15 @@ def bench_r1_robustness(benchmark, emit_table, smoke, results_dir):
 
     # Jitter costs latency: the jittered corner is no faster than the
     # fault-free baseline.
-    clean = result.metric("elapsed", jitter_s=0.0, reorder_window=0.0,
-                          duplicate_rate=0.0).mean
+    def elapsed(jitter, reorder, duplicate):
+        return result.metric("elapsed", **{
+            JITTER: jitter, REORDER: reorder, DUPLICATE: duplicate}).mean
+
+    clean = elapsed(0.0, 0.0, 0.0)
     if smoke:
-        worst = result.metric("elapsed", jitter_s=0.04,
-                              reorder_window=0.04,
-                              duplicate_rate=0.25).mean
+        worst = elapsed(0.04, 0.04, 0.25)
     else:
-        worst = result.metric("elapsed", jitter_s=0.04,
-                              reorder_window=0.0, duplicate_rate=0.0).mean
+        worst = elapsed(0.04, 0.0, 0.0)
     assert worst >= clean, (
         f"faulted run ({worst:.4f}s) beat the clean baseline "
         f"({clean:.4f}s)")

@@ -16,11 +16,12 @@ from repro.dns.client import StubResolver
 from repro.dns.rrtype import RRType
 from repro.netsim.address import ip
 from repro.netsim.host import Host
-from repro.scenarios import figure1_scenario
+from repro.scenarios import materialize
+from repro.scenarios.presets import figure1_spec
 
 
 def main() -> None:
-    scenario = figure1_scenario(seed=11)
+    scenario = materialize(figure1_spec(), seed=11)
 
     # The front-end runs on the client's gateway host, port 53.
     frontend = MajorityDnsFrontend(

@@ -3,10 +3,13 @@
 The paper's results are all parameter sweeps; this package turns each
 one into three declarative pieces instead of a hand-rolled nested loop:
 
-* a :class:`ParameterGrid` naming the axes (presets × attacks × pool
-  sizes × resolver configurations × dual-stack families, ...);
-* a picklable trial function ``(params, seed) -> metrics`` — stock ones
-  for end-to-end pool generation and the §III Monte-Carlos are provided;
+* a :class:`ParameterGrid` naming the axes — for simulated worlds,
+  dotted paths into a base :class:`repro.scenarios.ScenarioSpec`
+  (``ParameterGrid.over_spec``: provider counts × corruption × pool
+  sizes × resolver configurations × dual-stack policies, ...);
+* a picklable trial function ``(params, seed) -> metrics`` —
+  :func:`spec_trial` runs whatever world a spec grid point describes,
+  and stock ones for the §III Monte-Carlos are provided;
 * a :class:`CampaignRunner` that executes the trials on an adaptively
   chosen executor (serial / thread pool / process pool, picked from a
   measured per-trial cost) with deterministic per-trial seeds derived
@@ -23,17 +26,20 @@ index)`` and records are folded in grid order in every mode.
 
 Quick start::
 
-    from repro.campaign import CampaignRunner, ParameterGrid, pool_attack_trial
+    from repro.campaign import CampaignRunner, ParameterGrid, spec_trial
+    from repro.scenarios import pool_spec, set_path
 
-    grid = ParameterGrid({"num_providers": (3, 5, 9),
-                          "corrupted": (0, 1, 2)},
-                         fixed={"pool_size": 40,
-                                "forged": ("203.0.113.1",)},
-                         name="share-sweep").where(
-        lambda p: p["corrupted"] <= p["num_providers"])
-    result = CampaignRunner(pool_attack_trial, trials_per_point=3,
+    base = set_path(pool_spec(pool_size=40), "provider.forged",
+                    ("203.0.113.1",))
+    grid = ParameterGrid.over_spec(
+        base, {"provider.count": (3, 5, 9),
+               "provider.corrupted": (0, 1, 2)},
+        name="share-sweep").where(
+        lambda p: p["provider.corrupted"] <= p["provider.count"])
+    result = CampaignRunner(spec_trial, trials_per_point=3,
                             base_seed=7).run(grid)
-    result.metric("attacker_share", num_providers=3, corrupted=1).mean
+    result.metric("attacker_share", **{"provider.count": 3,
+                                       "provider.corrupted": 1}).mean
 """
 
 from repro.analysis.montecarlo import (
@@ -54,14 +60,11 @@ from repro.campaign.runner import CampaignProgress, CampaignRunner, trial_seed
 from repro.campaign.sampling import AdaptiveSampling
 from repro.campaign.trials import (
     advantage_bits_trial,
-    build_scenario,
     chaos_trial,
     figure1_system_trial,
     hierarchy_trial,
     offpath_spray_trial,
     overhead_trial,
-    pool_attack_trial,
-    population_trial,
     spec_trial,
     timeshift_trial,
 )
@@ -81,7 +84,6 @@ __all__ = [
     "TrialRecord",
     "advantage_bits_trial",
     "attack_probability_trial",
-    "build_scenario",
     "chaos_trial",
     "choose_executor",
     "figure1_system_trial",
@@ -90,9 +92,7 @@ __all__ = [
     "offpath_spray_trial",
     "overhead_trial",
     "point_key",
-    "pool_attack_trial",
     "pool_fraction_trial",
-    "population_trial",
     "spec_trial",
     "timeshift_trial",
     "trial_seed",

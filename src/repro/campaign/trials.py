@@ -1,14 +1,17 @@
 """Reusable trial functions for campaign sweeps.
 
 These are the bridge between the declarative campaign layer and the
-simulation stack: a grid point's parameters select a scenario preset
-(:mod:`repro.scenarios.presets`), an attacker configuration
-(:mod:`repro.attacks.compromise`) and generation policies
-(:mod:`repro.core.policy`), and one trial builds the world, runs one
-experiment and returns scalar metrics. Besides the pool-generation
-trial there are end-to-end trials for the whole Figure 1 pipeline
-(E1), the time-shift attack (E7), the off-path spray ablation (A1),
-the closed-form advantage (E4) and the distribution overhead (E10).
+simulation stack: one trial compiles the world a grid point describes,
+runs one experiment and returns scalar metrics.  :func:`spec_trial` is
+the entry point for ``ParameterGrid.over_spec`` grids — every point
+carries its own :class:`~repro.scenarios.spec.ScenarioSpec` (provider
+corruption, combine policy, faults, fleet, attacks), so it covers the
+single-client Algorithm 1 generation and whole populations alike;
+:func:`hierarchy_trial` and :func:`chaos_trial` add the H1 and C1
+metric surfaces on top.  The remaining param-dict trials run
+experiments a spec does not describe: the whole Figure 1 pipeline (E1),
+the time-shift attack (E7), the off-path spray ablation (A1), the
+closed-form advantage (E4) and the distribution overhead (E10).
 
 Everything here is module-level and picklable so campaigns can shard
 trials across worker processes. The closed-form Monte-Carlo trials live
@@ -19,14 +22,9 @@ re-exported from :mod:`repro.campaign`.
 from __future__ import annotations
 
 import inspect
-from typing import Any, Dict, List, Mapping
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.advantage import security_bits
-from repro.attacks.compromise import (
-    CompromiseConfig,
-    CompromisedResolverBehavior,
-    corrupt_first_k,
-)
 from repro.attacks.offpath import OffPathPoisoner, SprayPlan
 from repro.attacks.timeshift import TimeShiftExperiment
 from repro.core.majority import MajorityVoteCombiner
@@ -42,73 +40,67 @@ from repro.ntp.client import NtpClient
 from repro.ntp.clock import SimClock
 from repro.ntp.pool import deploy_ntp_fleet
 from repro.scenarios import PoolScenario
-from repro.scenarios.presets import get_preset
 from repro.scenarios.spec import (
     ScenarioSpec,
     effective_forged,
     get_path,
     materialize,
     pool_spec,
-    population_spec,
 )
 
+_POOL_SPEC_KEYS = frozenset(inspect.signature(pool_spec).parameters)
 
-def build_scenario(params: Mapping[str, Any], seed: int) -> PoolScenario:
-    """Build the scenario a grid point describes.
 
-    ``params["preset"]`` (default ``"custom"``) names a builder in the
-    :data:`repro.scenarios.presets.PRESETS` registry; every other
-    parameter the builder's signature accepts is passed through, so one
-    grid can sweep presets and their knobs together.
+def _pool_world(params: Mapping[str, Any], seed: int,
+                knobs: frozenset) -> PoolScenario:
+    """The single-client world of a param-dict trial: every parameter
+    that is not one of the trial's own ``knobs`` is a
+    :func:`~repro.scenarios.spec.pool_spec` keyword.
+
+    Anything else fails loudly: a sweep with a typo'd axis name
+    (``answers_per_qeury``) would otherwise run every point against
+    defaults and present a sweep that never happened.
     """
-    builder = get_preset(params.get("preset", "custom"))
-    accepted = inspect.signature(builder).parameters
     kwargs = {name: value for name, value in params.items()
-              if name in accepted and name != "seed"}
-    return builder(seed=seed, **kwargs)
-
-
-# Parameters pool_attack_trial consumes itself (everything else must be
-# accepted by the selected scenario builder).
-_ATTACK_KEYS = frozenset({"preset", "corrupted", "behavior", "forged",
-                          "inflate_to", "policy", "truncation",
-                          "min_answers"})
-
-
-def _reject_unknown_params(params: Mapping[str, Any],
-                           known: frozenset = _ATTACK_KEYS) -> None:
-    """Fail loudly on parameters nothing would consume.
-
-    A declarative sweep with a typo'd axis name (``answers_per_qeury``)
-    would otherwise run every point against defaults and present a
-    sweep that never happened.
-    """
-    builder = get_preset(params.get("preset", "custom"))
-    accepted = set(inspect.signature(builder).parameters)
-    unknown = set(params) - known - accepted
+              if name not in knobs}
+    unknown = set(kwargs) - _POOL_SPEC_KEYS
     if unknown:
         raise ValueError(
             f"unrecognised trial parameters: {sorted(unknown)} "
-            f"(not trial knobs, not accepted by the "
-            f"{params.get('preset', 'custom')!r} scenario builder)")
+            f"(not trial knobs {sorted(knobs)}, not pool_spec keywords)")
+    return materialize(pool_spec(**kwargs), seed)
 
 
-def _coerce_behavior(value: Any) -> CompromisedResolverBehavior:
-    if isinstance(value, CompromisedResolverBehavior):
-        return value
-    return CompromisedResolverBehavior(value)
+def _spec_and_world(params: Mapping[str, Any], seed: int, trial: str,
+                    require: Optional[Callable[[ScenarioSpec], None]] = None,
+                    ) -> Tuple[ScenarioSpec, Any]:
+    """Decode a spec grid point and compile its world.
 
-
-def _coerce_dual_stack(value: Any) -> "DualStackPolicy | None":
-    if value is None or isinstance(value, DualStackPolicy):
-        return value
-    return DualStackPolicy(value)
-
-
-def _coerce_truncation(value: Any) -> TruncationPolicy:
-    if isinstance(value, TruncationPolicy):
-        return value
-    return TruncationPolicy(value)
+    ``params["spec"]`` is the point's fully applied spec (an object or
+    its ``to_dict`` form); every other key is a swept dotted path that
+    must carry the same value in that spec, so a point whose sweep
+    silently failed to land cannot run.  ``require`` checks the trial's
+    own preconditions on the decoded spec before anything is built.
+    """
+    if "spec" not in params:
+        raise ValueError(f"{trial} needs params['spec'] "
+                         f"(use ParameterGrid.over_spec)")
+    spec = params["spec"]
+    if isinstance(spec, Mapping):
+        spec = ScenarioSpec.from_dict(spec)
+    for name, value in params.items():
+        if name == "spec":
+            continue
+        applied = get_path(spec, name)   # raises on a path the spec lacks
+        expected = tuple(value) if isinstance(value, list) else value
+        if applied != expected:
+            raise ValueError(
+                f"spec path {name!r} carries {applied!r} but the grid "
+                f"point says {expected!r}; was the spec edited after "
+                f"expansion?")
+    if require is not None:
+        require(spec)
+    return spec, materialize(spec, seed)
 
 
 def _share(addresses, forged: set) -> float:
@@ -119,8 +111,7 @@ def _share(addresses, forged: set) -> float:
 
 def _pool_generation_metrics(scenario: PoolScenario, pool,
                              forged: set) -> Dict[str, float]:
-    """The standard metric set for one Algorithm 1 generation (shared
-    by :func:`pool_attack_trial` and single-client :func:`spec_trial`)."""
+    """The standard metric set for one Algorithm 1 generation."""
     voted = (MajorityVoteCombiner().combine(pool.contributions)
              if pool.contributions else [])
     v4 = [a for a in pool.addresses if a.family == 4]
@@ -140,77 +131,6 @@ def _pool_generation_metrics(scenario: PoolScenario, pool,
         "voted_attacker_share": _share(voted, forged),
         "benign_fraction": benign_fraction,
     }
-
-
-def pool_attack_trial(params: Mapping[str, Any], seed: int) -> Dict[str, float]:
-    """One end-to-end pool generation under resolver compromise.
-
-    Recognised parameters (all optional unless noted):
-
-    ``preset`` + builder kwargs
-        scenario selection, see :func:`build_scenario`.
-    ``corrupted``
-        how many providers to corrupt (default 0).
-    ``behavior``
-        a :class:`CompromisedResolverBehavior` or its string value
-        (default ``"substitute"``).
-    ``forged``
-        the attacker's addresses (required when ``corrupted > 0`` and
-        the behaviour needs them).
-    ``inflate_to``
-        answer inflation for the ``inflate`` behaviour.
-    ``policy``
-        a :class:`DualStackPolicy` (or value) for dual-stack lookups.
-    ``truncation``
-        a :class:`TruncationPolicy` (or value), default SHORTEST.
-    ``min_answers``
-        ``None`` for the paper's strict all-must-answer semantics, or
-        the quorum of the E6 availability extension (pairs with
-        ``ignore_empty_answers``).
-
-    Returned metrics: ``ok`` and ``degraded`` (availability),
-    ``pool_size``, ``truncate_length``, ``attacker_share``,
-    ``v4_share``, ``v6_share``, ``voted_size`` and
-    ``voted_attacker_share`` (per-address majority vote over the same
-    contributions), plus ``benign_fraction`` scored against the
-    scenario's pool directory.
-    """
-    _reject_unknown_params(params)
-    scenario = build_scenario(params, seed)
-    # Keep the caller's declared order: with the inflate behaviour the
-    # compromised resolver serves forged[:inflate_to], so order is
-    # semantically meaningful. The set is only for share counting.
-    forged_list = [IPAddress(a) for a in params.get("forged", ())]
-    forged = set(forged_list)
-    corrupted = int(params.get("corrupted", 0))
-    if corrupted:
-        config = CompromiseConfig(
-            target=scenario.pool_domain,
-            behavior=_coerce_behavior(params.get("behavior", "substitute")),
-            forged_addresses=forged_list,
-            inflate_to=int(params.get("inflate_to", 20)))
-        corrupt_first_k(scenario.providers, corrupted, config)
-
-    min_answers = params.get("min_answers")
-    generator_config = PoolGeneratorConfig(
-        truncation=_coerce_truncation(params.get("truncation",
-                                                 TruncationPolicy.SHORTEST)),
-        dual_stack=_coerce_dual_stack(params.get("policy")),
-        min_answers=min_answers,
-        ignore_empty_answers=min_answers is not None)
-    pool = scenario.generate_pool_sync(
-        scenario.make_generator(config=generator_config))
-    return _pool_generation_metrics(scenario, pool, forged)
-
-
-# ----------------------------------------------------------------------
-# P1 — population-scale fleets measured through the telemetry registry.
-# ----------------------------------------------------------------------
-
-# ``seed`` is campaign-derived and the registry must stay per-trial (a
-# shared one would fold metrics across trials and break the
-# serial==parallel bit-identity), so neither is a valid grid axis.
-_POPULATION_KEYS = frozenset(inspect.signature(population_spec).parameters)
 
 
 def _population_metrics(scenario) -> Dict[str, float]:
@@ -235,36 +155,6 @@ def _population_metrics(scenario) -> Dict[str, float]:
     }
 
 
-def population_trial(params: Mapping[str, Any], seed: int):
-    """One whole client population in one world.
-
-    Every parameter is a keyword of
-    :func:`repro.scenarios.spec.population_spec` (``num_clients``,
-    ``rounds``, ``corrupted``, ``behavior``, ``churn_rate``,
-    ``arrival``, fault axes, ...), so campaign grids sweep the
-    population surface directly. Metrics are read from the scenario's
-    private telemetry registry after the run, which is what keeps
-    serial and sharded campaign executions bit-identical: each trial
-    owns its registry and folds nothing across trials.
-
-    Returned metrics: ``victim_fraction`` (of rounds that completed an
-    NTP sync, how many synced against an attacker server),
-    ``availability``, ``shifted_fraction``, ``sync_fraction``, clock
-    error stats, churn counts, and network/transport totals from the
-    registry (datagrams, bytes, stub timeouts).  The trial also attaches
-    the registry's snapshot JSON to its record, exported by runners
-    configured with ``include_telemetry=True``.
-    """
-    unknown = set(params) - _POPULATION_KEYS
-    if unknown:
-        raise ValueError(
-            f"unrecognised trial parameters: {sorted(unknown)} "
-            f"(not accepted by population_spec)")
-    scenario = materialize(population_spec(**dict(params)), seed)
-    metrics = _population_metrics(scenario)
-    return metrics, scenario.telemetry.snapshot_json()
-
-
 # ----------------------------------------------------------------------
 # The generic grid-over-spec trial.
 # ----------------------------------------------------------------------
@@ -280,32 +170,32 @@ def spec_trial(params: Mapping[str, Any], seed: int):
     swept dotted paths, which are validated against the spec so a
     point whose sweep silently failed to land cannot run.
 
-    Population specs run the whole fleet and report the
-    :func:`population_trial` metric set; single-client specs run one
-    Algorithm 1 generation under the spec's combine policy
-    (``pool.truncation`` / ``pool.min_answers`` /
-    ``pool.dual_stack_policy``) and report the
-    :func:`pool_attack_trial` metric set.  Either way the registry
-    snapshot rides along when the world has telemetry.
-    """
-    if "spec" not in params:
-        raise ValueError("spec_trial needs params['spec'] "
-                         "(use ParameterGrid.over_spec)")
-    spec = params["spec"]
-    if isinstance(spec, Mapping):
-        spec = ScenarioSpec.from_dict(spec)
-    for name, value in params.items():
-        if name == "spec":
-            continue
-        applied = get_path(spec, name)   # raises on a path the spec lacks
-        expected = tuple(value) if isinstance(value, list) else value
-        if applied != expected:
-            raise ValueError(
-                f"spec path {name!r} carries {applied!r} but the grid "
-                f"point says {expected!r}; was the spec edited after "
-                f"expansion?")
+    Population specs run the whole fleet.  Metrics are read from the
+    world's private telemetry registry after the run, which keeps
+    serial and sharded campaign executions bit-identical: each trial
+    owns its registry and folds nothing across trials.  They are
+    ``victim_fraction`` (of rounds that completed an NTP sync, how many
+    synced against an attacker server), ``availability``,
+    ``shifted_fraction``, ``sync_fraction``, clock error stats, churn
+    counts, and network/transport totals (datagrams, bytes, stub
+    timeouts).
 
-    world = materialize(spec, seed)
+    Single-client specs run one Algorithm 1 generation under the spec's
+    provider corruption (``provider.corrupted`` / ``behavior`` /
+    ``forged`` / ``inflate_to``) and combine policy
+    (``pool.truncation`` / ``pool.min_answers`` /
+    ``pool.dual_stack_policy``).  Metrics are ``ok`` and ``degraded``
+    (availability), ``pool_size``, ``truncate_length``,
+    ``attacker_share``, ``v4_share``, ``v6_share``, ``voted_size`` and
+    ``voted_attacker_share`` (per-address majority vote over the same
+    contributions), plus ``benign_fraction`` scored against the pool
+    directory.
+
+    Either way the registry snapshot rides along when the world has
+    telemetry (exported by runners configured with
+    ``include_telemetry=True``).
+    """
+    spec, world = _spec_and_world(params, seed, "spec_trial")
     if spec.fleet is not None:
         metrics = _population_metrics(world)
         return metrics, world.telemetry.snapshot_json()
@@ -317,9 +207,10 @@ def spec_trial(params: Mapping[str, Any], seed: int):
     for attack in spec.attacks:
         forged.update(IPAddress(a) for a in attack.param("forged", ()))
     min_answers = spec.pool.min_answers
+    dual_stack = spec.pool.dual_stack_policy
     generator_config = PoolGeneratorConfig(
         truncation=TruncationPolicy(spec.pool.truncation),
-        dual_stack=_coerce_dual_stack(spec.pool.dual_stack_policy),
+        dual_stack=None if dual_stack is None else DualStackPolicy(dual_stack),
         min_answers=min_answers,
         ignore_empty_answers=min_answers is not None)
     pool = world.generate_pool_sync(
@@ -335,6 +226,22 @@ def spec_trial(params: Mapping[str, Any], seed: int):
 # ----------------------------------------------------------------------
 
 
+def _require_hierarchy_world(spec: ScenarioSpec) -> None:
+    if spec.fleet is None:
+        raise ValueError("hierarchy_trial needs a population spec "
+                         "(add a FleetSpec)")
+    if spec.provider.resolver is None \
+            or spec.provider.resolver.mode != "iterative":
+        raise ValueError("hierarchy_trial needs an iterative ResolverSpec "
+                         "(mode='iterative'); use "
+                         "repro.scenarios.presets.hierarchy_population_spec")
+    if spec.fleet.shards > 1:
+        raise ValueError(
+            "hierarchy_trial runs one world per trial; shard the campaign, "
+            "not the fleet (the cache counters it reads fold bit-identically "
+            "across shards — see repro.telemetry.fold_snapshots)")
+
+
 def hierarchy_trial(params: Mapping[str, Any], seed: int):
     """One measured population over the iterative resolution hierarchy.
 
@@ -343,7 +250,7 @@ def hierarchy_trial(params: Mapping[str, Any], seed: int):
     :class:`~repro.scenarios.spec.FleetSpec` and an iterative
     :class:`~repro.scenarios.spec.ResolverSpec`, so the providers'
     recursors walk real root→TLD→authoritative referral chains with TTL
-    caching.  On top of the :func:`population_trial` metric set it
+    caching.  On top of :func:`spec_trial`'s population metric set it
     reports the poisoning-exposure surface ``bench_h1`` sweeps:
 
     ``exposure_windows`` / ``exposure_open_s`` / ``windows_per_hour``
@@ -360,37 +267,8 @@ def hierarchy_trial(params: Mapping[str, Any], seed: int):
     ``spray_bursts`` / ``spray_packets``
         attacker cost, from the installed off-path sprayers.
     """
-    if "spec" not in params:
-        raise ValueError("hierarchy_trial needs params['spec'] "
-                         "(use ParameterGrid.over_spec)")
-    spec = params["spec"]
-    if isinstance(spec, Mapping):
-        spec = ScenarioSpec.from_dict(spec)
-    for name, value in params.items():
-        if name == "spec":
-            continue
-        applied = get_path(spec, name)
-        expected = tuple(value) if isinstance(value, list) else value
-        if applied != expected:
-            raise ValueError(
-                f"spec path {name!r} carries {applied!r} but the grid "
-                f"point says {expected!r}; was the spec edited after "
-                f"expansion?")
-    if spec.fleet is None:
-        raise ValueError("hierarchy_trial needs a population spec "
-                         "(add a FleetSpec)")
-    if spec.provider.resolver is None \
-            or spec.provider.resolver.mode != "iterative":
-        raise ValueError("hierarchy_trial needs an iterative ResolverSpec "
-                         "(mode='iterative'); use "
-                         "repro.scenarios.presets.hierarchy_population_spec")
-    if spec.fleet.shards > 1:
-        raise ValueError(
-            "hierarchy_trial runs one world per trial; shard the campaign, "
-            "not the fleet (the cache counters it reads fold bit-identically "
-            "across shards — see repro.telemetry.fold_snapshots)")
-
-    world = materialize(spec, seed)
+    _, world = _spec_and_world(params, seed, "hierarchy_trial",
+                               _require_hierarchy_world)
     metrics = _population_metrics(world)
 
     snapshot = world.telemetry.snapshot()
@@ -435,6 +313,20 @@ def hierarchy_trial(params: Mapping[str, Any], seed: int):
 RECOVERY_THRESHOLD = 0.99
 
 
+def _require_chaos_world(spec: ScenarioSpec) -> None:
+    if spec.fleet is None:
+        raise ValueError("chaos_trial needs a population spec "
+                         "(add a FleetSpec)")
+    if spec.chaos is None or not spec.chaos.events:
+        raise ValueError("chaos_trial needs spec.chaos with at least one "
+                         "event (attach a repro.chaos.ChaosSpec)")
+    if spec.fleet.shards > 1:
+        raise ValueError(
+            "chaos_trial runs one world per trial; shard the campaign, "
+            "not the fleet (infrastructure chaos replays identically in "
+            "every shard, so pop.* metrics fold bit-identically anyway)")
+
+
 def chaos_trial(params: Mapping[str, Any], seed: int):
     """One measured population under a declared chaos timeline.
 
@@ -443,9 +335,8 @@ def chaos_trial(params: Mapping[str, Any], seed: int):
     :class:`~repro.scenarios.spec.FleetSpec` and a
     :class:`~repro.chaos.ChaosSpec` with at least one event, so sweeps
     like ``chaos.events[0].fraction`` or ``chaos.events[0].duration``
-    land on real failure windows.  On top of the
-    :func:`population_trial` metric set it reports the
-    graceful-degradation surface ``bench_c1`` sweeps:
+    land on real failure windows.  On top of :func:`spec_trial`'s
+    population metric set it reports the graceful-degradation surface ``bench_c1`` sweeps:
 
     ``availability``
         the whole-run sync SLO (from the base metric set) — quorum
@@ -464,35 +355,8 @@ def chaos_trial(params: Mapping[str, Any], seed: int):
     ``chaos_events``
         how many events the controller actually applied.
     """
-    if "spec" not in params:
-        raise ValueError("chaos_trial needs params['spec'] "
-                         "(use ParameterGrid.over_spec)")
-    spec = params["spec"]
-    if isinstance(spec, Mapping):
-        spec = ScenarioSpec.from_dict(spec)
-    for name, value in params.items():
-        if name == "spec":
-            continue
-        applied = get_path(spec, name)
-        expected = tuple(value) if isinstance(value, list) else value
-        if applied != expected:
-            raise ValueError(
-                f"spec path {name!r} carries {applied!r} but the grid "
-                f"point says {expected!r}; was the spec edited after "
-                f"expansion?")
-    if spec.fleet is None:
-        raise ValueError("chaos_trial needs a population spec "
-                         "(add a FleetSpec)")
-    if spec.chaos is None or not spec.chaos.events:
-        raise ValueError("chaos_trial needs spec.chaos with at least one "
-                         "event (attach a repro.chaos.ChaosSpec)")
-    if spec.fleet.shards > 1:
-        raise ValueError(
-            "chaos_trial runs one world per trial; shard the campaign, "
-            "not the fleet (infrastructure chaos replays identically in "
-            "every shard, so pop.* metrics fold bit-identically anyway)")
-
-    world = materialize(spec, seed)
+    spec, world = _spec_and_world(params, seed, "chaos_trial",
+                                  _require_chaos_world)
     metrics = _population_metrics(world)
     registry = world.telemetry
     horizon = world.simulator.now
@@ -535,7 +399,7 @@ def chaos_trial(params: Mapping[str, Any], seed: int):
 # E1 — the whole Figure 1 pipeline, DNS→DoH→pool→Chronos.
 # ----------------------------------------------------------------------
 
-_FIGURE1_KEYS = frozenset({"preset", "clock_offset", "sample_size",
+_FIGURE1_KEYS = frozenset({"clock_offset", "sample_size",
                            "agreement_window", "min_responses"})
 
 
@@ -545,10 +409,10 @@ def figure1_system_trial(params: Mapping[str, Any],
     distributed DoH resolvers, then discipline a skewed clock with
     Chronos over the generated pool.
 
-    Recognised parameters: ``preset`` + builder kwargs, plus
-    ``clock_offset`` (initial clock error, default 80 ms) and the
-    Chronos knobs ``sample_size`` / ``agreement_window`` /
-    ``min_responses``.
+    Recognised parameters: :func:`~repro.scenarios.spec.pool_spec`
+    keywords, plus ``clock_offset`` (initial clock error, default
+    80 ms) and the Chronos knobs ``sample_size`` /
+    ``agreement_window`` / ``min_responses``.
 
     Returned metrics: ``pool_size``, ``truncate_length``, ``elapsed``
     (pool generation, virtual seconds), ``benign_fraction``,
@@ -557,8 +421,7 @@ def figure1_system_trial(params: Mapping[str, Any],
     ``latency[<name>]`` so tables can reproduce Figure 1's per-resolver
     rows.
     """
-    _reject_unknown_params(params, _FIGURE1_KEYS)
-    scenario = build_scenario(params, seed)
+    scenario = _pool_world(params, seed, _FIGURE1_KEYS)
     deploy_ntp_fleet(scenario.internet, scenario.directory, scenario.rng)
     pool = scenario.generate_pool_sync()
     offset = float(params.get("clock_offset", 0.080))
@@ -711,7 +574,7 @@ def advantage_bits_trial(params: Mapping[str, Any],
 # E10 — the cost of distribution vs the plain-DNS baseline.
 # ----------------------------------------------------------------------
 
-_OVERHEAD_KEYS = frozenset({"mechanism", "preset"})
+_OVERHEAD_KEYS = frozenset({"mechanism"})
 
 
 def overhead_trial(params: Mapping[str, Any], seed: int) -> Dict[str, float]:
@@ -719,14 +582,13 @@ def overhead_trial(params: Mapping[str, Any], seed: int) -> Dict[str, float]:
 
     ``mechanism`` selects ``"plain-dns"`` (one stub query to the first
     provider over spoofable UDP) or ``"distributed-doh"`` (Algorithm 1
-    across all providers); every other parameter reaches the scenario
-    builder.
+    across all providers); every other parameter is a
+    :func:`~repro.scenarios.spec.pool_spec` keyword.
     """
-    _reject_unknown_params(params, _OVERHEAD_KEYS)
     mechanism = params["mechanism"]
     if mechanism not in ("plain-dns", "distributed-doh"):
         raise ValueError(f"unknown mechanism {mechanism!r}")
-    scenario = build_scenario(params, seed)
+    scenario = _pool_world(params, seed, _OVERHEAD_KEYS)
     bytes_before = scenario.internet.bytes_sent
     packets_before = scenario.internet.datagrams_sent
     if mechanism == "plain-dns":

@@ -35,9 +35,9 @@ from repro.chaos.spec import (
     Partition,
     ServerOutage,
 )
-from repro.core.errors import ConfigurationError
 from repro.netsim.link import FaultModel
 from repro.telemetry.trace import current_tracer
+from repro.util.validation import ConfigurationError
 
 #: Bin width (virtual seconds) of the ``chaos.active`` series.
 ACTIVE_BIN = 1.0

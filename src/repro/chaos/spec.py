@@ -27,9 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, Mapping, Tuple
 
-from repro.core.errors import ConfigurationError
 from repro.util.specbase import SpecBase
-from repro.util.validation import check_non_negative, check_probability
+from repro.util.validation import (
+    ConfigurationError,
+    check_non_negative,
+    check_probability,
+)
 
 #: Valid targets for scope-addressed events: the DoH/DNS providers, the
 #: authoritative DNS servers, or the NTP pool hosts.

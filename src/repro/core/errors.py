@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from repro.util.validation import ConfigurationError
+
 
 class PoolGenerationError(RuntimeError):
     """Pool generation could not satisfy its security requirements.
@@ -10,10 +12,6 @@ class PoolGenerationError(RuntimeError):
     resolvers answered than the configured minimum, or truncation
     collapsed the pool to zero (the DoS case of §II footnote 2).
     """
-
-
-class ConfigurationError(ValueError):
-    """Invalid generator/resolver-set configuration."""
 
 
 class UnknownPresetError(ConfigurationError):

@@ -19,8 +19,8 @@ import math
 from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.errors import ConfigurationError
 from repro.netsim.address import IPAddress
+from repro.util.validation import ConfigurationError
 
 
 def majority_vote(answer_lists: Dict[str, Sequence[IPAddress]],

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.errors import ConfigurationError
 from repro.core.policy import DualStackPolicy, TruncationPolicy
 from repro.core.resolverset import ResolverRef, ResolverSet
 from repro.dns.rrtype import RRType
@@ -37,6 +36,7 @@ from repro.doh.client import DoHClient, DoHQueryOutcome
 from repro.netsim.address import IPAddress
 from repro.netsim.simulator import Simulator
 from repro.telemetry.trace import current_tracer
+from repro.util.validation import ConfigurationError
 
 
 # ----------------------------------------------------------------------

@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence
 
-from repro.core.errors import ConfigurationError
 from repro.netsim.address import Endpoint
-from repro.util.validation import check_fraction
+from repro.util.validation import ConfigurationError, check_fraction
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.errors import ConfigurationError
 from repro.util.specbase import SpecBase
+from repro.util.validation import ConfigurationError
 
 #: Where the hierarchy's root server lives (kept off the legacy tree's
 #: ``10.0.0.1`` so both trees could coexist in one world if ever needed).

@@ -27,10 +27,8 @@ Three operations close the loop:
   (``"fleet.size"``, ``"network.regions[0].link.loss"``) used by
   :meth:`repro.campaign.ParameterGrid.over_spec` to sweep specs;
 * :func:`materialize` — the single compiler from a spec (plus a seed)
-  to a wired world.  It subsumes the legacy ``build_pool_scenario`` /
-  ``build_population_scenario`` builders: a spec produced by
-  :func:`pool_spec` / :func:`population_spec` materializes into a
-  bit-identical world for the same seed.
+  to a wired world.  :func:`pool_spec` / :func:`population_spec` build
+  the common single-client and population specs from flat keywords.
 """
 
 from __future__ import annotations
@@ -51,9 +49,9 @@ from typing import (
 )
 
 from repro.chaos.spec import ChaosSpec
-from repro.core.errors import ConfigurationError
 from repro.dns.resolver import ResolverConfig
 from repro.netsim.link import FaultModel, LinkProfile
+from repro.util.validation import ConfigurationError
 
 
 # ----------------------------------------------------------------------
@@ -73,8 +71,8 @@ from repro.util.specbase import SpecBase, _encode  # noqa: E402, F401
 class LinkSpec(SpecBase):
     """Serializable mirror of :class:`repro.netsim.link.LinkProfile`.
 
-    Defaults match ``LinkProfile.metro()`` — the access-edge profile the
-    legacy builders used.
+    Defaults match ``LinkProfile.metro()`` — the default access-edge
+    profile.
     """
 
     latency: float = 0.003
@@ -843,7 +841,7 @@ def apply_paths(spec: ScenarioSpec,
 
 
 # ----------------------------------------------------------------------
-# Legacy kwarg -> spec converters (the shim surface).
+# Flat-keyword spec constructors.
 # ----------------------------------------------------------------------
 
 def pool_spec(
@@ -861,8 +859,11 @@ def pool_spec(
     duplicate_rate: float = 0.0,
     fault_model: Optional[FaultModel] = None,
 ) -> ScenarioSpec:
-    """The single-client Figure 1 spec, from the legacy
-    ``build_pool_scenario`` keywords (same defaults)."""
+    """The single-client Figure 1 spec from flat keywords: ``N``
+    providers, the pool directory, and faults on the client access
+    link.  Corruption and the combine policy are spec paths
+    (``provider.corrupted``, ``pool.truncation``, ...) a grid sweeps
+    with ``ParameterGrid.over_spec``."""
     if num_providers < 1:
         raise ValueError("need at least one provider")
     return ScenarioSpec(
@@ -911,9 +912,9 @@ def population_spec(
     time_bin: float = 10.0,
     shards: int = 1,
 ) -> ScenarioSpec:
-    """The population spec, from the legacy
-    ``build_population_scenario`` keywords (same defaults), plus the
-    ``shards`` megafleet axis."""
+    """The population spec from flat keywords: a measured client fleet
+    over the Figure 1 world, its provider corruption and network
+    faults, plus the ``shards`` megafleet axis."""
     behavior = getattr(behavior, "value", behavior)
     return ScenarioSpec(
         network=NetworkSpec(
@@ -948,9 +949,8 @@ def materialize(spec: ScenarioSpec, seed: int, registry=None) -> World:
     ``fleet.shards > 1``, a
     :class:`~repro.population.sharding.ShardedFleet` (same ``run()`` /
     ``outcomes()`` / ``telemetry`` surface, population split across K
-    worlds).  Specs built by :func:`pool_spec` / :func:`population_spec`
-    materialize bit-identically to the legacy builders for the same
-    seed.
+    worlds).  The same spec and seed always compile to a bit-identical
+    world.
 
     :param registry: telemetry sink for population worlds (a private
         one is created when omitted); ignored for single-client worlds
@@ -969,7 +969,7 @@ def materialize(spec: ScenarioSpec, seed: int, registry=None) -> World:
 
 def effective_forged(spec: ScenarioSpec) -> List[str]:
     """The forged addresses the compiled world's corruption actually
-    serves — the spec's own plus the legacy synthesis
+    serves — the spec's own plus the default synthesis
     (:func:`_default_forged`) when a corruption behaviour needs
     addresses and none were given.  Metric code must score attacker
     shares against *this*, not ``spec.provider.forged`` alone."""
@@ -977,7 +977,7 @@ def effective_forged(spec: ScenarioSpec) -> List[str]:
 
 
 def _default_forged(provider: ProviderSpec, pool: PoolSpec) -> List[str]:
-    """The legacy builders' forged-address synthesis: when a corruption
+    """The default forged-address synthesis: when a corruption
     behaviour needs addresses and none were given, use the documentation
     block (one per answer slot)."""
     if provider.forged or not provider.corrupted:
@@ -1149,9 +1149,9 @@ def _deploy_plain_provider(internet, profile, root_hints, rng_registry,
 
 def _materialize_population(spec: ScenarioSpec, seed: int, registry,
                             window: Optional[Tuple[int, int, int]] = None):
-    """The population world (ported from the legacy
-    ``build_population_scenario``; per-region access edges and the DoH
-    fleet transport are the spec-only extensions).
+    """The population world: the Figure 1 world plus the NTP server
+    fleet, the provider corruption and a measured client fleet, with
+    optional per-region access edges and a DoH fleet transport.
 
     ``window`` is the sharding hook: ``(first_index, size, population)``
     builds the world with a :class:`~repro.population.ClientFleet`

@@ -11,6 +11,16 @@ from typing import Any, Type, TypeVar
 T = TypeVar("T")
 
 
+class ConfigurationError(ValueError):
+    """Invalid configuration: a spec, generator or resolver-set setting
+    that cannot describe a working system.
+
+    Defined in the util layer so every layer above can raise it without
+    importing :mod:`repro.core` (whose package import pulls in the DoH
+    client and would loop back into the importer).
+    """
+
+
 def check_probability(value: float, name: str = "probability") -> float:
     """Validate that ``value`` lies in the closed interval [0, 1]."""
     value = float(value)

@@ -15,7 +15,7 @@ from repro.chaos import (
     decode_event,
     encode_event,
 )
-from repro.core.errors import ConfigurationError
+from repro.util.validation import ConfigurationError
 from repro.scenarios.spec import (
     ScenarioSpec,
     get_path,

@@ -19,7 +19,7 @@ from repro.chaos import (
     ServerOutage,
 )
 from repro.chaos.controller import ChaosController
-from repro.core.errors import ConfigurationError
+from repro.util.validation import ConfigurationError
 from repro.population.sharding import invariant_snapshot_json
 from repro.scenarios.spec import materialize, pool_spec, population_spec
 from repro.telemetry.registry import MetricsRegistry

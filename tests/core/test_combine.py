@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.errors import ConfigurationError
+from repro.util.validation import ConfigurationError
 from repro.core.policy import TruncationPolicy
 from repro.core.pool import combine_answer_lists
 from repro.netsim.address import IPAddress

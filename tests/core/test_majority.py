@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.errors import ConfigurationError
+from repro.util.validation import ConfigurationError
 from repro.core.majority import MajorityVoteCombiner, majority_vote
 from repro.netsim.address import IPAddress
 

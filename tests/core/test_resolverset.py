@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.errors import ConfigurationError
+from repro.util.validation import ConfigurationError
 from repro.core.resolverset import ResolverRef, ResolverSet
 from repro.netsim.address import Endpoint, ip
 

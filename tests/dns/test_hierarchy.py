@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.errors import ConfigurationError
+from repro.util.validation import ConfigurationError
 from repro.dns.hierarchy import (
     HIERARCHY_ROOT_ADDRESS,
     HierarchySpec,
