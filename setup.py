@@ -1,10 +1,23 @@
-"""Legacy setup shim.
+"""Packaging for the ``repro`` library.
 
-The project metadata lives in ``pyproject.toml``; this file exists only so
-that ``pip install -e .`` works in offline environments whose setuptools
-cannot build PEP 660 editable wheels (no ``wheel`` package available).
+The package lives under ``src/``; the version comes from
+``repro.__version__`` (a dependency-free module), so it has one source
+of truth. Install with ``pip install .`` (or ``pip install -e .``) from
+the repository root.
 """
 
-from setuptools import setup
+import os
+import sys
 
-setup()
+from setuptools import find_packages, setup
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "src"))
+from repro import __version__  # noqa: E402
+
+setup(
+    name="repro",
+    version=__version__,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+)

@@ -135,12 +135,6 @@ class HierarchyDeployment:
     zones: Dict[str, Any] = field(default_factory=dict)
     hosts: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def authoritative_addresses(self) -> List[str]:
-        """Every nameserver address in the tree, root first."""
-        return [str(host.primary_address)
-                for host in self.hosts.values()]
-
 
 def compile_hierarchy(internet, rng_registry, pool, spec: HierarchySpec,
                       ) -> HierarchyDeployment:

@@ -25,7 +25,7 @@ from its root seed.
 
 from repro.netsim.address import Endpoint, IPAddress, ip
 from repro.netsim.host import Host
-from repro.netsim.internet import DeliveryReceipt, Internet, LinkTap, TapAction, TapVerdict
+from repro.netsim.internet import Internet, LinkTap, TapAction, TapVerdict
 from repro.netsim.link import FaultModel, Link, LinkProfile
 from repro.netsim.packet import Datagram
 from repro.netsim.simulator import Event, Simulator
@@ -48,7 +48,6 @@ __all__ = [
     "Host",
     "Internet",
     "DatagramExchange",
-    "DeliveryReceipt",
     "ExchangeReport",
     "FaultModel",
     "LinkTap",

@@ -11,23 +11,24 @@ with the two interposition points the paper's threat model needs:
   *not* on the path can still blindly send datagrams with spoofed source
   addresses, which is the capability behind classic DNS poisoning.
 
-Delivery accounting is two-tier. In steady state the fabric keeps
-counters only: per (origin, destination-node) pair it compiles a
-:class:`_FlightPlan` — the route's link list, its node names and each
-link's installed taps — cached until the topology (or a fault install,
-or a tap) changes, so delivering a datagram is one dict lookup plus one
-fused RNG sample per hop. Full :class:`DeliveryReceipt` objects (with
-``route_nodes``) are only materialized when someone is actually looking:
-a registered observer, the receipt log, or an :meth:`inject` caller.
-Both tiers drive the links through the same
-:meth:`~repro.netsim.link.Link.transit` sampler, so which tier ran is
-invisible in the RNG streams and the science.
+Sent and injected datagrams take one delivery path. Per (origin,
+destination-node) pair the fabric caches a flight plan — the route's
+links, each paired with its installed taps — until the topology (or a
+fault install, or a tap) changes, so delivering a datagram is one dict
+lookup plus one fused :meth:`~repro.netsim.link.Link.transit` sample per
+hop. Every trip is accounted once: the ``datagrams_*``/``bytes_sent``
+counters, the ``net.*`` metrics of an installed
+:class:`~repro.telemetry.registry.MetricsRegistry` (drops broken down by
+``net.drops{reason}``), and — when a tracer is installed — one
+``net.flight`` span per trip carrying its ``outcome``, ``dropped_by``,
+``hops`` and ``duplicated`` attributes, with a ``net.hop`` child per
+link transit.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.netsim.address import Endpoint, IPAddress
@@ -37,7 +38,7 @@ from repro.netsim.packet import Datagram
 from repro.netsim.simulator import Simulator
 from repro.netsim.topology import RoutingError, Topology
 from repro.telemetry.registry import current_registry
-from repro.telemetry.trace import current_tracer
+from repro.telemetry.trace import Span, current_tracer
 from repro.util.rng import RngRegistry
 
 
@@ -79,53 +80,10 @@ class TapAction:
 # A tap sees (link, datagram) and returns what to do with it.
 LinkTap = Callable[[Link, Datagram], TapAction]
 
-# A passive observer of every delivery attempt (for tracing/benchmarks).
-DeliveryObserver = Callable[["DeliveryReceipt"], None]
-
-
-@dataclass(slots=True)
-class DeliveryReceipt:
-    """Accounting record for one datagram's trip through the network."""
-
-    datagram: Datagram
-    delivered: bool
-    send_time: float
-    arrival_time: Optional[float] = None
-    hops: int = 0
-    dropped_by: Optional[str] = None  # link name, "tap:<link>", "no-route",
-    # "no-host", "host-down", or "no-socket"
-    rewritten: bool = False
-    duplicated: bool = False  # a link fault delivered a second copy
-    route_nodes: List[str] = field(default_factory=list)
-
-    @property
-    def latency(self) -> Optional[float]:
-        """One-way delay, or None if the packet never arrived."""
-        if self.arrival_time is None:
-            return None
-        return self.arrival_time - self.send_time
-
-
-class _FlightPlan:
-    """A compiled (origin, destination-node) delivery recipe.
-
-    ``hops`` pairs each route link with the tuple of taps installed on
-    it at compile time (``None`` when the link is tap-free, so the
-    steady-state loop skips tap dispatch entirely). Plans are immutable;
-    the :class:`Internet` drops its whole plan cache whenever the
-    topology version or the tap epoch moves.
-    """
-
-    __slots__ = ("hops", "route_nodes", "hop_count")
-
-    def __init__(self, links: List[Link],
-                 taps: Dict[str, List[LinkTap]],
-                 route_nodes: List[str]) -> None:
-        self.hops: Tuple[Tuple[Link, Optional[Tuple[LinkTap, ...]]], ...] = \
-            tuple((link, tuple(taps[link.name]) if taps.get(link.name) else None)
-                  for link in links)
-        self.route_nodes: Tuple[str, ...] = tuple(route_nodes)
-        self.hop_count = len(self.hops)
+# A compiled (origin, destination-node) flight plan: each route link
+# paired with the taps installed on it (``None`` when tap-free, so the
+# hop loop skips tap dispatch entirely).
+_FlightHops = Tuple[Tuple[Link, Optional[Tuple[LinkTap, ...]]], ...]
 
 
 class Internet:
@@ -147,12 +105,8 @@ class Internet:
         self._taps: Dict[str, List[LinkTap]] = {}
         self._down_hosts: set = set()
         self._tap_epoch = 0
-        self._plans: Dict[Tuple[str, str], _FlightPlan] = {}
+        self._plans: Dict[Tuple[str, str], _FlightHops] = {}
         self._plans_stamp = -1
-        self._observers: List[DeliveryObserver] = []
-        self._receipts: List[DeliveryReceipt] = []
-        self._keep_receipts = False
-        self._detailed = False
         self._datagrams_sent = 0
         self._datagrams_delivered = 0
         self._datagrams_duplicated = 0
@@ -273,7 +227,7 @@ class Internet:
         self._tap_epoch += 1
 
     def inject(self, datagram: Datagram, at_node: str,
-               spoofed: bool = True) -> DeliveryReceipt:
+               spoofed: bool = True) -> None:
         """Off-path injection: route a (usually spoofed) datagram from
         ``at_node`` toward its destination.
 
@@ -283,26 +237,11 @@ class Internet:
         tagged = Datagram(src=datagram.src, dst=datagram.dst,
                           payload=datagram.payload, spoofed=spoofed,
                           channel=datagram.channel)
-        # Injection always pays for a receipt: it returns one.
-        return self._route_and_schedule(tagged, at_node, want_receipt=True)
+        self._route_and_schedule(tagged, at_node)
 
     # ------------------------------------------------------------------
-    # Tracing.
+    # Counters.
     # ------------------------------------------------------------------
-
-    def add_observer(self, observer: DeliveryObserver) -> None:
-        """Register a passive per-delivery observer."""
-        self._observers.append(observer)
-        self._detailed = True
-
-    def enable_receipt_log(self, enabled: bool = True) -> None:
-        """Keep every :class:`DeliveryReceipt` in memory for inspection."""
-        self._keep_receipts = enabled
-        self._detailed = enabled or bool(self._observers)
-
-    @property
-    def receipts(self) -> List[DeliveryReceipt]:
-        return list(self._receipts)
 
     @property
     def datagrams_sent(self) -> int:
@@ -325,38 +264,21 @@ class Internet:
     # Delivery.
     # ------------------------------------------------------------------
 
-    def send(self, datagram: Datagram,
-             origin_host: Host) -> Optional[DeliveryReceipt]:
-        """Entry point used by :meth:`Host.transmit`.
-
-        Returns the :class:`DeliveryReceipt` when delivery tracing is
-        active (observers or the receipt log); in the counters-only
-        steady state it returns ``None`` — building a per-packet
-        receipt nobody reads is exactly the overhead the flight-plan
-        fast path removes.
-        """
+    def send(self, datagram: Datagram, origin_host: Host) -> None:
+        """Entry point used by :meth:`Host.transmit`."""
         if self._down_hosts and origin_host.name in self._down_hosts:
-            return self._drop_at_source(datagram)
-        return self._route_and_schedule(datagram, origin_host.node,
-                                        want_receipt=self._detailed)
+            # A crashed origin cannot transmit: account the attempt as a
+            # ``host-down`` drop without touching any link RNG stream.
+            self._datagrams_sent += 1
+            self._bytes_sent += datagram.size
+            self._count_drop("host-down", datagram.size)
+            return
+        self._route_and_schedule(datagram, origin_host.node)
 
-    def _drop_at_source(self, datagram: Datagram
-                        ) -> Optional[DeliveryReceipt]:
-        """A crashed origin cannot transmit: account the attempt as a
-        ``host-down`` drop without touching any link RNG stream."""
-        self._datagrams_sent += 1
-        self._bytes_sent += datagram.size
-        if self._detailed:
-            receipt = DeliveryReceipt(datagram=datagram, delivered=False,
-                                      send_time=self._simulator.now)
-            receipt.dropped_by = "host-down"
-            self._finish(receipt)
-            return receipt
-        self._count_drop("host-down", datagram.size)
-        return None
-
-    def _plan_for(self, origin: str, dest_node: str) -> _FlightPlan:
-        """The compiled flight plan for one (origin, destination) pair."""
+    def _plan_for(self, origin: str, dest_node: str) -> _FlightHops:
+        """The cached flight plan for one (origin, destination) pair;
+        the whole cache drops whenever the topology version or the tap
+        epoch moves."""
         stamp = self._topology.version + self._tap_epoch
         if stamp != self._plans_stamp:
             self._plans.clear()
@@ -364,23 +286,20 @@ class Internet:
         key = (origin, dest_node)
         plan = self._plans.get(key)
         if plan is None:
-            links = self._topology.route(origin, dest_node)
-            route_nodes = self._topology.route_nodes(origin, dest_node)
-            plan = _FlightPlan(links, self._taps, route_nodes)
+            taps = self._taps
+            plan = tuple(
+                (link, tuple(taps[link.name]) if taps.get(link.name) else None)
+                for link in self._topology.route(origin, dest_node))
             self._plans[key] = plan
         return plan
 
-    def _route_and_schedule(self, datagram: Datagram, origin_node: str,
-                            want_receipt: bool) -> Optional[DeliveryReceipt]:
+    def _route_and_schedule(self, datagram: Datagram,
+                            origin_node: str) -> None:
         self._datagrams_sent += 1
         datagram_size = datagram.size
         self._bytes_sent += datagram_size
         simulator = self._simulator
         send_time = simulator.now
-        receipt: Optional[DeliveryReceipt] = None
-        if want_receipt:
-            receipt = DeliveryReceipt(datagram=datagram, delivered=False,
-                                      send_time=send_time)
 
         # One flight span per trip, one child span per link transit.
         # Hop timelines are decided right here at schedule time, so the
@@ -398,25 +317,17 @@ class Internet:
 
         destination_host = self._hosts_by_address.get(datagram.dst.address)
         if destination_host is None:
-            if flight is not None:
-                tracer.finish(flight.set(outcome="dropped",
-                                         dropped_by="no-host"), send_time)
-            return self._drop(receipt, "no-host", datagram_size)
+            self._drop("no-host", datagram_size, flight, send_time)
+            return
         if self._down_hosts and destination_host.name in self._down_hosts:
-            if flight is not None:
-                tracer.finish(flight.set(outcome="dropped",
-                                         dropped_by="host-down"), send_time)
-            return self._drop(receipt, "host-down", datagram_size)
+            self._drop("host-down", datagram_size, flight, send_time)
+            return
 
         try:
             plan = self._plan_for(origin_node, destination_host.node)
         except RoutingError:
-            if flight is not None:
-                tracer.finish(flight.set(outcome="dropped",
-                                         dropped_by="no-route"), send_time)
-            return self._drop(receipt, "no-route", datagram_size)
-        if receipt is not None:
-            receipt.route_nodes = list(plan.route_nodes)
+            self._drop("no-route", datagram_size, flight, send_time)
+            return
 
         total_delay = 0.0
         duplicate_gap: Optional[float] = None
@@ -425,7 +336,7 @@ class Internet:
         hop_size = datagram_size   # link accounting follows rewrites;
         #                            telemetry counts the original bytes
         hops = 0
-        for link, taps in plan.hops:
+        for link, taps in plan:
             hops += 1
             # Natural loss first, then attacker taps: a dropped packet
             # never reaches the tap further down the same hop.
@@ -439,13 +350,9 @@ class Internet:
             if dropped:
                 if flight is not None:
                     hop_span.set(outcome="dropped", fault="loss")
-                    tracer.finish(
-                        flight.set(outcome="dropped", dropped_by=link.name,
-                                   hops=hops),
-                        send_time + total_delay)
-                if receipt is not None:
-                    receipt.hops = hops
-                return self._drop(receipt, link.name, datagram_size)
+                self._drop(link.name, datagram_size, flight,
+                           send_time + total_delay, hops)
+                return
             if gap is not None and duplicate_gap is None:
                 # At most one extra copy per trip, trailing the
                 # original by the first duplicating hop's gap. The
@@ -466,15 +373,9 @@ class Internet:
                         if flight is not None:
                             hop_span.set(outcome="dropped",
                                          fault=f"tap:{link.name}")
-                            tracer.finish(
-                                flight.set(outcome="dropped",
-                                           dropped_by=f"tap:{link.name}",
-                                           hops=hops),
-                                send_time + total_delay)
-                        if receipt is not None:
-                            receipt.hops = hops
-                        return self._drop(receipt, f"tap:{link.name}",
-                                          datagram_size)
+                        self._drop(f"tap:{link.name}", datagram_size,
+                                   flight, send_time + total_delay, hops)
+                        return
                     if action.payload is None:
                         raise ValueError("REWRITE verdict requires a payload")
                     current = current.with_payload(action.payload)
@@ -484,8 +385,6 @@ class Internet:
                                      fault=f"tap:{link.name}")
                         if action.extra_delay:
                             hop_span.set(extra_delay=action.extra_delay)
-                    if receipt is not None:
-                        receipt.rewritten = True
                     total_delay += action.extra_delay
                     break
 
@@ -495,94 +394,43 @@ class Internet:
 
         if flight is not None:
             # The flight's outcome is provisionally "delivered" with its
-            # precomputed arrival; the delivery closure downgrades it to
-            # no-socket if the destination port turns out unbound.
+            # precomputed arrival; the delivery closure downgrades it if
+            # the host crashed meanwhile or the port turns out unbound.
             tracer.finish(flight.set(outcome="delivered", hops=hops),
                           arrival)
 
-        if receipt is not None:
-            receipt.hops = hops
-
-            def deliver() -> None:
-                # Traced deliveries run under the inbound flight's
-                # scope: whatever the receiving handler does
-                # synchronously (decode, build and send a response)
-                # parents under this flight, so causality is preserved
-                # across the wire.
-                if self._down_hosts \
-                        and destination_host.name in self._down_hosts:
-                    # The host crashed while the packet was in flight.
-                    receipt.dropped_by = "host-down"
-                    if flight is not None:
-                        flight.set(outcome="dropped",
-                                   dropped_by="host-down")
-                    self._finish(receipt)
-                    return
-                if flight is None:
+        def deliver() -> None:
+            if self._down_hosts \
+                    and destination_host.name in self._down_hosts:
+                # The host crashed while the packet was in flight.
+                if flight is not None:
+                    flight.set(outcome="dropped", dropped_by="host-down")
+                self._count_drop("host-down", datagram_size)
+                return
+            # Traced deliveries run under the inbound flight's scope:
+            # whatever the receiving handler does synchronously (decode,
+            # build and send a response) parents under this flight, so
+            # causality is preserved across the wire.
+            if flight is None:
+                accepted = destination_host.deliver(final)
+            else:
+                with tracer.scope(flight):
                     accepted = destination_host.deliver(final)
-                else:
-                    with tracer.scope(flight):
-                        accepted = destination_host.deliver(final)
-                receipt.arrival_time = simulator.now
-                receipt.delivered = accepted
-                if accepted:
-                    self._datagrams_delivered += 1
-                else:
-                    receipt.dropped_by = "no-socket"
-                    if flight is not None:
-                        flight.set(outcome="dropped", dropped_by="no-socket")
-                self._finish(receipt)
-
-            simulator.schedule_at(arrival, deliver,
-                                  label=f"deliver#{final.packet_id}")
-        elif telemetry is None:
-
-            def deliver_lean() -> None:
-                if self._down_hosts \
-                        and destination_host.name in self._down_hosts:
-                    return
-                if flight is None:
-                    accepted = destination_host.deliver(final)
-                else:
-                    with tracer.scope(flight):
-                        accepted = destination_host.deliver(final)
-                if accepted:
-                    self._datagrams_delivered += 1
-                elif flight is not None:
-                    flight.set(outcome="dropped", dropped_by="no-socket")
-
-            simulator.schedule_at(arrival, deliver_lean)
-        else:
-
-            def deliver_counted() -> None:
-                if self._down_hosts \
-                        and destination_host.name in self._down_hosts:
-                    if flight is not None:
-                        flight.set(outcome="dropped",
-                                   dropped_by="host-down")
-                    self._count_drop("host-down", datagram_size)
-                    return
-                if flight is None:
-                    accepted = destination_host.deliver(final)
-                else:
-                    with tracer.scope(flight):
-                        accepted = destination_host.deliver(final)
-                if accepted:
-                    self._datagrams_delivered += 1
+            if accepted:
+                self._datagrams_delivered += 1
+                if telemetry is not None:
                     self._t_sent.inc()
                     self._t_bytes.inc(datagram_size)
                     self._t_delivered.inc()
                     self._t_latency.observe(simulator.now - send_time)
-                else:
-                    if flight is not None:
-                        flight.set(outcome="dropped", dropped_by="no-socket")
-                    self._count_drop("no-socket", datagram_size)
+            else:
+                if flight is not None:
+                    flight.set(outcome="dropped", dropped_by="no-socket")
+                self._count_drop("no-socket", datagram_size)
 
-            simulator.schedule_at(arrival, deliver_counted)
+        simulator.schedule_at(arrival, deliver)
 
         if duplicate_gap is not None:
-            if receipt is not None:
-                receipt.duplicated = True
             if flight is not None:
                 flight.set(duplicated=True)
                 tracer.event("net.duplicate_delivery",
@@ -591,9 +439,10 @@ class Internet:
             duplicating_link.count_duplicate()
 
             def deliver_copy() -> None:
-                # The copy rides outside the receipt: accounting for
-                # the original delivery stays untouched, the transport
-                # layer's suppression decides what the copy means.
+                # The copy rides outside the original's accounting: the
+                # counters and the flight span describe the original
+                # delivery, the transport layer's suppression decides
+                # what the copy means.
                 if self._down_hosts \
                         and destination_host.name in self._down_hosts:
                     return
@@ -601,20 +450,21 @@ class Internet:
                     self._datagrams_duplicated += 1
 
             simulator.schedule_at(arrival + duplicate_gap, deliver_copy)
-        return receipt
 
-    def _drop(self, receipt: Optional[DeliveryReceipt], where: str,
-              size: int) -> Optional[DeliveryReceipt]:
-        """An in-flight drop: account it and finish immediately."""
-        if receipt is not None:
-            receipt.dropped_by = where
-            self._finish(receipt)
-            return receipt
+    def _drop(self, where: str, size: int, flight: Optional[Span],
+              at: float, hops: int = 0) -> None:
+        """One datagram dropped before delivery was scheduled: finish
+        its flight span (when tracing) as dropped at ``at``, then count
+        the drop. ``hops`` is recorded only for link and tap drops."""
+        if flight is not None:
+            flight.set(outcome="dropped", dropped_by=where)
+            if hops:
+                flight.set(hops=hops)
+            self._tracer.finish(flight, at)
         self._count_drop(where, size)
-        return None
 
     def _count_drop(self, where: str, size: int) -> None:
-        """Telemetry for one dropped datagram (counters-only tier)."""
+        """Telemetry for one dropped datagram."""
         if self._telemetry is None:
             return
         self._t_sent.inc()
@@ -631,23 +481,3 @@ class Internet:
                 "net.link_drops", self.LINK_DROP_BIN, link=where)
             self._t_link_drops[where] = series
         series.record(self._simulator.now, 1.0)
-
-    def _finish(self, receipt: DeliveryReceipt) -> None:
-        """Record a finished receipt: telemetry, the receipt log, and
-        every registered observer (dropped packets arrive here at their
-        drop instant, delivered ones at their arrival instant)."""
-        if self._telemetry is not None:
-            if receipt.delivered:
-                self._t_sent.inc()
-                self._t_bytes.inc(receipt.datagram.size)
-                self._t_delivered.inc()
-                latency = receipt.latency
-                if latency is not None:
-                    self._t_latency.observe(latency)
-            else:
-                self._count_drop(receipt.dropped_by or "unknown",
-                                 receipt.datagram.size)
-        if self._keep_receipts:
-            self._receipts.append(receipt)
-        for observer in self._observers:
-            observer(receipt)

@@ -402,7 +402,6 @@ class Transport:
         self._simulator = simulator
         self._rng = rng or random.Random(0)
         self._txid_bits = txid_bits
-        self._exchanges_started = 0
         self._exchanges_timed_out = 0
         # Captured once at construction: with no registry installed the
         # per-exchange publish below is skipped entirely; likewise with
@@ -429,10 +428,6 @@ class Transport:
         return self._tracer
 
     @property
-    def exchanges_started(self) -> int:
-        return self._exchanges_started
-
-    @property
     def exchanges_timed_out(self) -> int:
         return self._exchanges_timed_out
 
@@ -453,7 +448,6 @@ class Transport:
                  want_txid: bool = True) -> DatagramExchange:
         """Run a datagram request/response exchange; ``on_complete``
         fires exactly once with the :class:`ExchangeReport`."""
-        self._exchanges_started += 1
         exchange = DatagramExchange(
             self, destination, build_request, classify,
             self._finalize(on_complete, label), policy, label, want_txid)
@@ -467,7 +461,6 @@ class Transport:
         that own their channel (DoH's per-query TLS connection). The
         caller starts its attempt in ``begin_attempt`` and reports the
         terminal value through :meth:`PendingExchange.resolve`."""
-        self._exchanges_started += 1
         pending = PendingExchange(
             self._simulator, policy, begin_attempt,
             self._finalize(on_complete, label), label=label,

@@ -611,10 +611,6 @@ class ClientFleet:
     def dispatcher(self) -> BatchDispatcher:
         return self._dispatcher
 
-    def client_clock_errors(self) -> List[float]:
-        """Current per-client clock errors (diagnostics/tests)."""
-        return [client.clock.error() for client in self._clients]
-
     # ------------------------------------------------------------------
     # Driving.
     # ------------------------------------------------------------------

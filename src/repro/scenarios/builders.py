@@ -68,10 +68,6 @@ class PoolScenario:
     #: scenario spec declared a failure timeline; None otherwise.
     chaos: Optional[Any] = None
 
-    @property
-    def provider_endpoints(self) -> List:
-        return [deployment.endpoint for deployment in self.providers]
-
     def run(self, until: Optional[float] = None) -> None:
         """Drain the simulation (convenience passthrough)."""
         self.simulator.run(until=until)

@@ -10,6 +10,8 @@ from repro.netsim.packet import Datagram
 from repro.netsim.simulator import Simulator
 from repro.netsim.socket import SocketClosedError
 from repro.netsim.topology import Topology
+from repro.telemetry.registry import MetricsRegistry, use_registry
+from repro.telemetry.trace import Tracer, use_tracer
 from repro.util.rng import RngRegistry
 
 
@@ -23,6 +25,20 @@ def build_pair(loss: float = 0.0, latency: float = 0.01):
     alpha = net.add_host(Host("alpha", "left", [ip("10.0.0.1")]))
     beta = net.add_host(Host("beta", "right", [ip("10.0.0.2")]))
     return net, alpha, beta
+
+
+def instrumented_pair(**kwargs):
+    """:func:`build_pair` with a metrics registry and a tracer installed;
+    returns (internet, alpha, beta, registry, tracer)."""
+    registry, tracer = MetricsRegistry(), Tracer()
+    with use_registry(registry), use_tracer(tracer):
+        net, alpha, beta = build_pair(**kwargs)
+    return net, alpha, beta, registry, tracer
+
+
+def only_flight(tracer):
+    (flight,) = [span for span in tracer.spans if span.name == "net.flight"]
+    return flight
 
 
 class TestHostRegistration:
@@ -91,30 +107,33 @@ class TestDelivery:
         assert responses == [b"pong"]
 
     def test_unbound_port_drops(self):
-        net, alpha, _ = build_pair()
-        net.enable_receipt_log()
+        net, alpha, _, registry, tracer = instrumented_pair()
         alpha.ephemeral_socket().sendto(Endpoint(ip("10.0.0.2"), 999), b"x")
         net.simulator.run()
-        receipt = net.receipts[-1]
-        assert not receipt.delivered
-        assert receipt.dropped_by == "no-socket"
+        assert net.datagrams_delivered == 0
+        assert registry.value("net.drops", reason="no-socket") == 1
+        flight = only_flight(tracer)
+        assert flight.attrs["outcome"] == "dropped"
+        assert flight.attrs["dropped_by"] == "no-socket"
 
     def test_unknown_address_drops(self):
-        net, alpha, _ = build_pair()
-        net.enable_receipt_log()
+        net, alpha, _, registry, tracer = instrumented_pair()
         alpha.ephemeral_socket().sendto(Endpoint(ip("10.9.9.9"), 53), b"x")
         net.simulator.run()
-        assert net.receipts[-1].dropped_by == "no-host"
+        assert registry.value("net.drops", reason="no-host") == 1
+        assert only_flight(tracer).attrs["dropped_by"] == "no-host"
 
     def test_full_loss_link_drops(self):
-        net, alpha, beta = build_pair(loss=1.0)
-        net.enable_receipt_log()
+        net, alpha, beta, registry, tracer = instrumented_pair(loss=1.0)
         received = []
         beta.bind(53, received.append)
         alpha.ephemeral_socket().sendto(Endpoint(ip("10.0.0.2"), 53), b"x")
         net.simulator.run()
         assert received == []
-        assert net.receipts[-1].dropped_by == "left--right"
+        assert registry.value("net.drops", reason="left--right") == 1
+        flight = only_flight(tracer)
+        assert flight.attrs["dropped_by"] == "left--right"
+        assert flight.attrs["hops"] == 1
 
     def test_same_node_loopback_style_delivery(self):
         sim = Simulator()
@@ -139,17 +158,19 @@ class TestDelivery:
         assert net.datagrams_delivered == 1
         assert net.bytes_sent == 5
 
-    def test_receipt_latency_and_route(self):
-        net, alpha, beta = build_pair(latency=0.02)
-        net.enable_receipt_log()
+    def test_flight_latency_and_route(self):
+        net, alpha, beta, registry, tracer = instrumented_pair(latency=0.02)
         beta.bind(53, lambda d: None)
         alpha.ephemeral_socket().sendto(Endpoint(ip("10.0.0.2"), 53), b"x")
         net.simulator.run()
-        receipt = net.receipts[-1]
-        assert receipt.delivered
-        assert receipt.latency >= 0.02
-        assert receipt.route_nodes == ["left", "right"]
-        assert receipt.hops == 1
+        assert registry.value("net.datagrams_delivered") == 1
+        flight = only_flight(tracer)
+        assert flight.attrs["outcome"] == "delivered"
+        assert flight.end - flight.start >= 0.02
+        assert flight.attrs["hops"] == 1
+        hops = [span for span in tracer.spans if span.name == "net.hop"]
+        assert [hop.attrs["link"] for hop in hops] == ["left--right"]
+        assert hops[0].parent_id == flight.span_id
 
 
 class TestSockets:
@@ -223,15 +244,17 @@ class TestTaps:
         assert seen == [b"secret"]
 
     def test_dropping_tap(self):
-        net, alpha, beta = build_pair()
-        net.enable_receipt_log()
+        net, alpha, beta, registry, tracer = instrumented_pair()
         received = []
         net.add_tap("left--right", lambda link, d: TapAction.drop())
         beta.bind(53, received.append)
         alpha.ephemeral_socket().sendto(Endpoint(ip("10.0.0.2"), 53), b"x")
         net.simulator.run()
         assert received == []
-        assert net.receipts[-1].dropped_by == "tap:left--right"
+        assert registry.value("net.drops", reason="tap:left--right") == 1
+        flight = only_flight(tracer)
+        assert flight.attrs["dropped_by"] == "tap:left--right"
+        assert flight.attrs["hops"] == 1
 
     def test_rewriting_tap(self):
         net, alpha, beta = build_pair()

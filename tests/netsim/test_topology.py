@@ -74,10 +74,6 @@ class TestRouting:
         topo = simple_line()
         assert topo.route("a", "a") == []
 
-    def test_route_nodes(self):
-        topo = simple_line()
-        assert topo.route_nodes("a", "c") == ["a", "b", "c"]
-
     def test_unknown_node_raises(self):
         topo = simple_line()
         with pytest.raises(RoutingError):
