@@ -15,13 +15,13 @@ Run:  python examples/attack_lab.py
 
 from repro.attacks.mitm import OnPathAttacker
 from repro.attacks.offpath import OffPathPoisoner
-from repro.attacks.overpopulation import OverPopulationAttack
-from repro.core.policy import TruncationPolicy
+from repro.campaign import spec_trial
 from repro.dns.client import StubResolver
 from repro.dns.resolver import ResolverConfig
 from repro.dns.rrtype import RRType
 from repro.netsim.address import Endpoint, IPAddress
 from repro.scenarios import materialize, pool_spec
+from repro.scenarios.spec import apply_paths
 
 FORGED = [f"203.0.113.{i + 1}" for i in range(4)]
 
@@ -33,7 +33,7 @@ def act1_and_2_offpath() -> None:
                 txid_bits=6, randomize_txid=False)), seed=5)
         victim = scenario.providers[0]
         if not hardened:
-            victim.host._randomize_ports = False
+            victim.host.randomize_ports = False
         poisoner = OffPathPoisoner(scenario.internet,
                                    injection_node=victim.host.node)
         outcomes = []
@@ -78,14 +78,15 @@ def act3_onpath() -> None:
 
 
 def act4_overpopulation() -> None:
-    for policy in (TruncationPolicy.NONE, TruncationPolicy.SHORTEST):
-        scenario = materialize(pool_spec(answers_per_query=4), seed=8)
-        attack = OverPopulationAttack(scenario, corrupted=1, inflate_to=20)
-        result = attack.run(policy)
-        verdict = ("ATTACKER MAJORITY"
-                   if result.attacker_controls_majority else "bounded to 1/N")
-        print(f"  over-population, truncation={policy.value:8s}: "
-              f"attacker share {result.attacker_fraction:.0%} -> {verdict}")
+    for policy in ("none", "shortest"):
+        spec = apply_paths(pool_spec(answers_per_query=4), {
+            "provider.corrupted": 1, "provider.behavior": "inflate",
+            "provider.forged": tuple(f"203.0.113.{i + 1}" for i in range(8)),
+            "provider.inflate_to": 20, "pool.truncation": policy})
+        share = spec_trial({"spec": spec}, seed=8)["attacker_share"]
+        verdict = "ATTACKER MAJORITY" if share > 0.5 else "bounded to 1/N"
+        print(f"  over-population, truncation={policy:8s}: "
+              f"attacker share {share:.0%} -> {verdict}")
 
 
 def main() -> None:

@@ -15,20 +15,21 @@ because of a hard-coded coin flip:
   links: observe/drop/rewrite plaintext, drop/delay (only) TLS;
 * :mod:`repro.attacks.compromise` — a corrupted DoH provider answering
   pool queries with attacker-chosen records (substitution, inflation,
-  empty-answer DoS);
-* :mod:`repro.attacks.overpopulation` — [1]'s anti-Chronos move:
-  flooding the answer list with attacker addresses, the attack §II
-  footnote 2's truncation neutralises;
-* :mod:`repro.attacks.timeshift` — end-to-end orchestration: poison the
-  pool, stand up lying NTP servers, measure the client clock error.
+  empty-answer DoS).  The ``inflate`` behaviour is [1]'s anti-Chronos
+  over-population move, the attack §II footnote 2's truncation
+  neutralises.
+
+Scenario worlds get their attacks from the spec compiler
+(:mod:`repro.scenarios.spec`): provider corruption from
+``ProviderSpec``, everything else from the ``AttackSpec`` registry.
+The end-to-end time-shift experiment (E7) is
+:func:`repro.campaign.timeshift_trial` over such a world.
 """
 
 from repro.attacks.compromise import CompromisedResolverBehavior, compromise_provider
 from repro.attacks.fragmentation import FragmentationPoisoner
 from repro.attacks.mitm import OnPathAttacker
 from repro.attacks.offpath import OffPathPoisoner, SprayPlan
-from repro.attacks.overpopulation import OverPopulationAttack
-from repro.attacks.timeshift import TimeShiftExperiment, TimeShiftResult
 
 __all__ = [
     "CompromisedResolverBehavior",
@@ -37,7 +38,4 @@ __all__ = [
     "OnPathAttacker",
     "OffPathPoisoner",
     "SprayPlan",
-    "OverPopulationAttack",
-    "TimeShiftExperiment",
-    "TimeShiftResult",
 ]

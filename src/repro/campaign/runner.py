@@ -84,8 +84,6 @@ from repro.campaign.sampling import AdaptiveSampling
 from repro.util.rng import derive_seed
 from repro.util.stats import RunningStats
 
-_Spec = Spec
-
 logger = logging.getLogger("repro.campaign")
 
 #: The executor policies ``CampaignRunner(executor=...)`` accepts.
@@ -185,6 +183,30 @@ def _source_tree_fingerprint() -> str:
     return _source_fingerprint_cache
 
 
+def _rehydrate(entry: Optional[Mapping[str, Any]], point_index: int,
+               key: str, params: Mapping[str, Any], trial: int,
+               seed: int) -> Optional[TrialRecord]:
+    """One cached or journaled entry as a live record, or ``None`` when
+    it cannot be trusted (missing, wrong seed, malformed metrics).
+
+    Params come from the live spec, so Python types survive the JSON
+    round trip; a ``None`` makes the caller re-execute the trial.
+    """
+    if entry is None or entry.get("seed") != seed:
+        return None
+    metrics = entry.get("metrics")
+    if not isinstance(metrics, dict):
+        return None
+    try:
+        metrics = {str(k): float(v) for k, v in metrics.items()}
+    except (TypeError, ValueError):
+        return None
+    return TrialRecord(point_index=point_index, point_key=key,
+                       params=params, trial=trial, seed=seed,
+                       metrics=metrics, telemetry=entry.get("telemetry"),
+                       trace=entry.get("trace"))
+
+
 class _Execution:
     """Shared execution state across a campaign's base pass and its
     adaptive-sampling rounds: one executor decision (made once, from
@@ -222,7 +244,8 @@ class _Execution:
         slot_of: Dict[Tuple[str, int], int] = {}
         pending: List[Spec] = []
         for index, spec in enumerate(specs):
-            record = self._recover_record(spec)
+            record = _rehydrate(self._recovered.get((spec[2], spec[4])),
+                                *spec[1:])
             if record is not None:
                 slots[index] = record
                 self.resumed += 1
@@ -247,29 +270,6 @@ class _Execution:
         return slots  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
-
-    def _recover_record(self, spec: Spec) -> Optional[TrialRecord]:
-        """A journal entry rehydrated against the live spec, or ``None``.
-
-        The entry's seed must equal the spec's own derivation — a
-        journal whose fingerprint matched but whose content drifted is
-        simply re-executed. Params come from the live spec, so resumed
-        records keep their Python types exactly like cached ones do.
-        """
-        entry = self._recovered.get((spec[2], spec[4]))
-        if entry is None or entry.get("seed") != spec[5]:
-            return None
-        metrics = entry.get("metrics")
-        if not isinstance(metrics, dict):
-            return None
-        try:
-            metrics = {str(k): float(v) for k, v in metrics.items()}
-        except (TypeError, ValueError):
-            return None
-        return TrialRecord(point_index=spec[1], point_key=spec[2],
-                           params=spec[3], trial=spec[4], seed=spec[5],
-                           metrics=metrics, telemetry=entry.get("telemetry"),
-                           trace=entry.get("trace"))
 
     def _decide(self, pending: List[Spec],
                 emit: Callable[[TrialRecord], None]) -> List[Spec]:
@@ -673,8 +673,8 @@ class CampaignRunner:
             return self._load_adaptive_cache(by_identity, points)
         records = []
         for _, point_index, key, params, trial, seed in specs:
-            record = self._rehydrate(by_identity.get((key, trial)),
-                                     point_index, key, params, trial, seed)
+            record = _rehydrate(by_identity.get((key, trial)),
+                                point_index, key, params, trial, seed)
             if record is None:
                 return None
             records.append(record)
@@ -699,7 +699,7 @@ class CampaignRunner:
                     or trials != list(range(count))):
                 return None
             for trial in trials:
-                record = self._rehydrate(
+                record = _rehydrate(
                     by_identity[(point.key, trial)], point.index, point.key,
                     point.params, trial,
                     trial_seed(self._base_seed, point.key, trial))
@@ -707,23 +707,6 @@ class CampaignRunner:
                     return None
                 records.append(record)
         return records
-
-    @staticmethod
-    def _rehydrate(entry: Optional[Dict[str, Any]], point_index: int,
-                   key: str, params: Mapping[str, Any], trial: int,
-                   seed: int) -> Optional[TrialRecord]:
-        """One cached/journaled entry as a live record (live params, so
-        Python types survive the JSON round trip), or ``None``."""
-        if entry is None or entry.get("seed") != seed:
-            return None
-        metrics = entry.get("metrics")
-        if not isinstance(metrics, dict):
-            return None
-        return TrialRecord(
-            point_index=point_index, point_key=key, params=params,
-            trial=trial, seed=seed,
-            metrics={str(k): float(v) for k, v in metrics.items()},
-            telemetry=entry.get("telemetry"), trace=entry.get("trace"))
 
     def _write_cache(self, cache_path: Optional[Path],
                      records: List[TrialRecord]) -> None:

@@ -10,8 +10,10 @@ single-client Algorithm 1 generation and whole populations alike;
 :func:`hierarchy_trial` and :func:`chaos_trial` add the H1 and C1
 metric surfaces on top.  The remaining param-dict trials run
 experiments a spec does not describe: the whole Figure 1 pipeline (E1),
-the time-shift attack (E7), the off-path spray ablation (A1), the
-closed-form advantage (E4) and the distribution overhead (E10).
+the time-shift attack (E7, whose world and attacks are spec-built; the
+trial adds the NTP fleet and one client's clock discipline), the
+off-path spray ablation (A1), the closed-form advantage (E4) and the
+distribution overhead (E10).
 
 Everything here is module-level and picklable so campaigns can shard
 trials across worker processes. The closed-form Monte-Carlo trials live
@@ -26,7 +28,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.advantage import security_bits
 from repro.attacks.offpath import OffPathPoisoner, SprayPlan
-from repro.attacks.timeshift import TimeShiftExperiment
 from repro.core.majority import MajorityVoteCombiner
 from repro.core.policy import DualStackPolicy, TruncationPolicy
 from repro.core.pool import PoolGeneratorConfig
@@ -36,12 +37,14 @@ from repro.dns.resolver import ResolverConfig
 from repro.dns.rrtype import RRType
 from repro.netsim.address import Endpoint, IPAddress
 from repro.ntp.chronos import ChronosClient, ChronosConfig
-from repro.ntp.client import NtpClient
+from repro.ntp.client import NtpClient, NtpSample
 from repro.ntp.clock import SimClock
 from repro.ntp.pool import deploy_ntp_fleet
 from repro.scenarios import PoolScenario
 from repro.scenarios.spec import (
+    AttackSpec,
     ScenarioSpec,
+    apply_paths,
     effective_forged,
     get_path,
     materialize,
@@ -153,6 +156,54 @@ def _population_metrics(scenario) -> Dict[str, float]:
         "bytes": registry.value("net.bytes_sent"),
         "stub_timeouts": registry.value("dns.stub.timeouts"),
     }
+
+
+# ----------------------------------------------------------------------
+# Single-client steps shared by the param-dict trials.
+# ----------------------------------------------------------------------
+
+
+def _plain_dns_lookup(world: PoolScenario) -> Tuple[Any, float]:
+    """One RD query for the pool domain to the first provider over
+    spoofable UDP: ``(outcome or None, virtual seconds taken)``."""
+    stub = StubResolver(world.client, world.simulator,
+                        world.providers[0].address, timeout=5.0)
+    started = world.simulator.now
+    outcomes: List = []
+    stub.query(world.pool_domain, RRType.A, outcomes.append)
+    world.simulator.run()
+    return (outcomes[0] if outcomes else None,
+            world.simulator.now - started)
+
+
+def _chronos_sync(world: PoolScenario, ntp_client: NtpClient,
+                  pool: List[IPAddress], config: ChronosConfig,
+                  stream: str) -> bool:
+    """Discipline ``ntp_client``'s clock with one Chronos sync over
+    ``pool`` (server picks drawn from the named RNG stream)."""
+    chronos = ChronosClient(ntp_client, pool, config=config,
+                            rng=world.rng.stream(stream))
+    outcomes: List = []
+    chronos.sync(outcomes.append)
+    world.simulator.run()
+    return bool(outcomes) and outcomes[0].ok
+
+
+def _naive_sync(world: PoolScenario, ntp_client: NtpClient,
+                pool: List[IPAddress]) -> bool:
+    """Naive SNTP: step the clock by the mean offset of (up to) four
+    pool servers."""
+    rng = world.rng.stream("naive-pick")
+    chosen = pool if len(pool) <= 4 else rng.sample(pool, 4)
+    samples: List[NtpSample] = []
+    for server in chosen:
+        ntp_client.sample(server, samples.append)
+    world.simulator.run()
+    good = [s.offset for s in samples if s.ok]
+    if not good:
+        return False
+    ntp_client.clock.step(sum(good) / len(good))
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -427,23 +478,19 @@ def figure1_system_trial(params: Mapping[str, Any],
     offset = float(params.get("clock_offset", 0.080))
     clock = SimClock(lambda: scenario.simulator.now, offset=offset)
     ntp_client = NtpClient(scenario.client, scenario.simulator, clock)
-    chronos = ChronosClient(
-        ntp_client, pool.addresses,
-        config=ChronosConfig(
+    synced = _chronos_sync(
+        scenario, ntp_client, pool.addresses,
+        ChronosConfig(
             sample_size=int(params.get("sample_size", 9)),
             agreement_window=float(params.get("agreement_window", 0.060)),
             min_responses=int(params.get("min_responses", 5))),
-        rng=scenario.rng.stream("bench-chronos"))
-    outcomes: List = []
-    chronos.sync(outcomes.append)
-    scenario.simulator.run()
-    sync = outcomes[0]
+        "bench-chronos")
     metrics = {
         "pool_size": float(len(pool.addresses)),
         "truncate_length": float(pool.truncate_length),
         "elapsed": pool.elapsed,
         "benign_fraction": scenario.directory.benign_fraction(pool.addresses),
-        "chronos_ok": 1.0 if sync.ok else 0.0,
+        "chronos_ok": 1.0 if synced else 0.0,
         "clock_error": clock.error(),
         "clock_error_before": offset,
     }
@@ -465,6 +512,11 @@ TIMESHIFT_CONFIGURATIONS = {
     "distributed-doh+chronos": (True, True),
 }
 
+#: The time-shift attacker's lying NTP servers.  The on-path rewrite
+#: answers with all twelve; each corrupted provider substitutes the
+#: first four.
+TIMESHIFT_ATTACKER = tuple(f"203.0.113.{i + 1}" for i in range(12))
+
 _TIMESHIFT_KEYS = frozenset({"configuration", "lie_offset", "num_providers",
                              "corrupted_providers", "pool_size"})
 
@@ -472,10 +524,21 @@ _TIMESHIFT_KEYS = frozenset({"configuration", "lie_offset", "num_providers",
 def timeshift_trial(params: Mapping[str, Any], seed: int) -> Dict[str, float]:
     """One E7 configuration in a fresh world (trial index = world seed).
 
-    ``configuration`` must be one of :data:`TIMESHIFT_CONFIGURATIONS`;
-    ``lie_offset``, ``num_providers``, ``corrupted_providers`` and
-    ``pool_size`` pass through to
-    :class:`repro.attacks.timeshift.TimeShiftExperiment`.
+    One attacker with the paper's "realistic" capabilities attacks a
+    client that needs correct time: it sits on the client's access link
+    (a ``mitm`` attack rewriting plaintext pool answers to
+    :data:`TIMESHIFT_ATTACKER`) and controls ``corrupted_providers`` of
+    the ``num_providers`` DoH resolvers, and its NTP servers lie by
+    ``lie_offset`` seconds.  ``configuration`` must be one of
+    :data:`TIMESHIFT_CONFIGURATIONS`: the pool comes from one plain-DNS
+    query or from Algorithm 1 over DoH, and the clock is disciplined by
+    naive SNTP averaging or by Chronos.  Expected shape (§I, §V): both
+    plain-DNS rows shift by the full lie, DoH+naive partially, and
+    DoH+Chronos holds.
+
+    Returned metrics: ``clock_error``, ``abs_clock_error``,
+    ``pool_malicious_fraction``, ``shifted`` (error beyond 10% of the
+    lie), ``synced`` and ``pool_size``.
     """
     unknown = set(params) - _TIMESHIFT_KEYS
     if unknown:
@@ -488,20 +551,46 @@ def timeshift_trial(params: Mapping[str, Any], seed: int) -> Dict[str, float]:
         raise ValueError(
             f"unknown configuration {configuration!r}; known: "
             f"{sorted(TIMESHIFT_CONFIGURATIONS)}") from None
-    experiment = TimeShiftExperiment(
-        seed=seed, lie_offset=float(params.get("lie_offset", 10.0)),
-        num_providers=int(params.get("num_providers", 3)),
-        corrupted_providers=int(params.get("corrupted_providers", 1)),
-        pool_size=int(params.get("pool_size", 20)))
-    result = experiment.run(use_distributed_doh=use_doh,
-                            use_chronos=use_chronos)
+    lie = float(params.get("lie_offset", 10.0))
+    spec = apply_paths(
+        pool_spec(num_providers=int(params.get("num_providers", 3)),
+                  pool_size=int(params.get("pool_size", 20))),
+        {"provider.corrupted": int(params.get("corrupted_providers", 1)),
+         "provider.forged": TIMESHIFT_ATTACKER[:4],
+         "attacks": (AttackSpec.of("mitm", mode="poison",
+                                   forged=TIMESHIFT_ATTACKER,
+                                   inflate_to=12),)})
+    world = materialize(spec, seed)
+    deploy_ntp_fleet(world.internet, world.directory, world.rng,
+                     malicious_lie_offset=lie,
+                     extra_addresses=TIMESHIFT_ATTACKER)
+    clock = SimClock(lambda: world.simulator.now, offset=0.0)
+    ntp_client = NtpClient(world.client, world.simulator, clock, timeout=1.0)
+
+    if use_doh:
+        pool = world.generate_pool_sync().addresses
+    else:
+        outcome, _ = _plain_dns_lookup(world)
+        pool = outcome.addresses if outcome is not None and outcome.ok else []
+    synced = False
+    if pool and use_chronos:
+        synced = _chronos_sync(
+            world, ntp_client, pool,
+            ChronosConfig(sample_size=9, agreement_window=0.060,
+                          panic_threshold=0.200, max_retries=2,
+                          min_responses=5),
+            "chronos")
+    elif pool:
+        synced = _naive_sync(world, ntp_client, pool)
+    error = clock.error()
     return {
-        "clock_error": result.clock_error_after,
-        "abs_clock_error": abs(result.clock_error_after),
-        "pool_malicious_fraction": result.pool_malicious_fraction,
-        "shifted": 1.0 if result.shifted else 0.0,
-        "synced": 1.0 if result.synced else 0.0,
-        "pool_size": float(result.pool_size),
+        "clock_error": error,
+        "abs_clock_error": abs(error),
+        "pool_malicious_fraction": _share(
+            pool, {IPAddress(a) for a in TIMESHIFT_ATTACKER}),
+        "shifted": 1.0 if abs(error) > 0.1 * abs(lie) else 0.0,
+        "synced": 1.0 if synced else 0.0,
+        "pool_size": float(len(pool)),
     }
 
 
@@ -592,14 +681,8 @@ def overhead_trial(params: Mapping[str, Any], seed: int) -> Dict[str, float]:
     bytes_before = scenario.internet.bytes_sent
     packets_before = scenario.internet.datagrams_sent
     if mechanism == "plain-dns":
-        stub = StubResolver(scenario.client, scenario.simulator,
-                            scenario.providers[0].address, timeout=5.0)
-        started = scenario.simulator.now
-        outcomes: List = []
-        stub.query(scenario.pool_domain, RRType.A, outcomes.append)
-        scenario.simulator.run()
-        latency = scenario.simulator.now - started
-        pool_size = len(outcomes[0].addresses) if outcomes else 0
+        outcome, latency = _plain_dns_lookup(scenario)
+        pool_size = len(outcome.addresses) if outcome is not None else 0
     else:
         pool = scenario.generate_pool_sync()
         latency = pool.elapsed

@@ -157,8 +157,10 @@ class NetworkSpec(SpecBase):
         worlds without explicit regions, to every ``pop-edge-*`` link.
     :param fault: imposed degradation on the client access link (the
         E6/R1 sweep axes); inactive by default.
-    :param extra_fault: an additional whole :class:`FaultSpec` composed
-        on top (mirrors the legacy ``fault_model=`` kwarg).
+    :param extra_fault: a second whole :class:`FaultSpec` composed on
+        top of ``fault`` (e.g. one built with
+        :meth:`FaultSpec.from_model` from an existing
+        :class:`~repro.netsim.link.FaultModel`).
     :param regions: population access regions.  Empty means the legacy
         layout — one ``pop-edge-<region>`` link per backbone region
         (``access`` profile, metro by default), all carrying the
@@ -557,22 +559,6 @@ class AttackContext:
             f"attack 'at' must be 'access' or 'region:<name>', got {at!r}")
 
 
-def _install_compromise(attack: AttackSpec, ctx: AttackContext):
-    from repro.attacks.compromise import (
-        CompromiseConfig,
-        CompromisedResolverBehavior,
-        corrupt_first_k,
-    )
-    forged = [str(a) for a in attack.param("forged", ())]
-    behavior = CompromisedResolverBehavior(
-        attack.param("behavior", "substitute"))
-    return corrupt_first_k(
-        ctx.providers, int(attack.param("count", 1)),
-        CompromiseConfig(target=ctx.pool_domain, behavior=behavior,
-                         forged_addresses=forged,
-                         inflate_to=int(attack.param("inflate_to", 20))))
-
-
 def _install_mitm(attack: AttackSpec, ctx: AttackContext):
     from repro.attacks.mitm import OnPathAttacker
     attacker = OnPathAttacker(ctx.internet, ctx.links_for(attack))
@@ -680,9 +666,7 @@ def _attack_server_addresses(attack: AttackSpec, directory) -> List[str]:
 
 #: The attack registry: spec kind -> installer over a built world.
 ATTACK_INSTALLERS: Dict[str, Callable[[AttackSpec, AttackContext], Any]] = {
-    "compromise": _install_compromise,
     "mitm": _install_mitm,
-    "onpath": _install_mitm,
     "offpath": _install_offpath,
     "timeshift": _install_timeshift,
 }
@@ -857,7 +841,6 @@ def pool_spec(
     jitter_s: float = 0.0,
     reorder_window: float = 0.0,
     duplicate_rate: float = 0.0,
-    fault_model: Optional[FaultModel] = None,
 ) -> ScenarioSpec:
     """The single-client Figure 1 spec from flat keywords: ``N``
     providers, the pool directory, and faults on the client access
@@ -872,9 +855,7 @@ def pool_spec(
                     else LinkSpec.from_profile(access_link)),
             fault=FaultSpec(loss_rate=loss_rate, jitter_s=jitter_s,
                             reorder_window=reorder_window,
-                            duplicate_rate=duplicate_rate),
-            extra_fault=(None if fault_model is None
-                         else FaultSpec.from_model(fault_model))),
+                            duplicate_rate=duplicate_rate)),
         provider=ProviderSpec(
             count=num_providers,
             profiles=(None if profiles is None else tuple(
@@ -987,12 +968,26 @@ def _default_forged(provider: ProviderSpec, pool: PoolSpec) -> List[str]:
     return []
 
 
-def _materialize_single(spec: ScenarioSpec, seed: int, registry):
+def _corrupt_providers(spec: ScenarioSpec, world) -> None:
+    """Corrupt the first ``spec.provider.corrupted`` providers of a
+    built Figure 1 world with the spec's behaviour and forged set."""
     from repro.attacks.compromise import (
         CompromiseConfig,
         CompromisedResolverBehavior,
         corrupt_first_k,
     )
+    provider = spec.provider
+    if provider.corrupted:
+        corrupt_first_k(
+            world.providers, provider.corrupted,
+            CompromiseConfig(
+                target=world.pool_domain,
+                behavior=CompromisedResolverBehavior(provider.behavior),
+                forged_addresses=_default_forged(provider, spec.pool),
+                inflate_to=provider.inflate_to))
+
+
+def _materialize_single(spec: ScenarioSpec, seed: int, registry):
     from repro.telemetry.registry import MetricsRegistry, use_registry
 
     if spec.telemetry.enabled:
@@ -1003,14 +998,7 @@ def _materialize_single(spec: ScenarioSpec, seed: int, registry):
         registry = None
         world = _build_pool_world(spec, seed)
     world.telemetry = registry
-    if spec.provider.corrupted:
-        corrupt_first_k(
-            world.providers, spec.provider.corrupted,
-            CompromiseConfig(
-                target=world.pool_domain,
-                behavior=CompromisedResolverBehavior(spec.provider.behavior),
-                forged_addresses=_default_forged(spec.provider, spec.pool),
-                inflate_to=spec.provider.inflate_to))
+    _corrupt_providers(spec, world)
     _install_attacks(spec, world, world, ntp_fleet=None,
                      access_links=["client-edge--eu-central"],
                      region_links={})
@@ -1158,11 +1146,6 @@ def _materialize_population(spec: ScenarioSpec, seed: int, registry,
     covering only that window of the population (``spec.fleet.shards``
     is ignored — the caller, :class:`ShardedFleet`, owns the split).
     """
-    from repro.attacks.compromise import (
-        CompromiseConfig,
-        CompromisedResolverBehavior,
-        corrupt_first_k,
-    )
     from repro.netsim.address import IPAddress
     from repro.ntp.pool import deploy_ntp_fleet
     from repro.population.fleet import ClientFleet, FleetConfig
@@ -1170,10 +1153,8 @@ def _materialize_population(spec: ScenarioSpec, seed: int, registry,
     from repro.telemetry.registry import MetricsRegistry, use_registry
 
     fleet_spec = spec.fleet
-    provider_spec = spec.provider
-    behavior = CompromisedResolverBehavior(provider_spec.behavior)
     forged_list = [IPAddress(a)
-                   for a in _default_forged(provider_spec, spec.pool)]
+                   for a in _default_forged(spec.provider, spec.pool)]
 
     if spec.telemetry.enabled is False:
         raise ConfigurationError(
@@ -1217,13 +1198,7 @@ def _materialize_population(spec: ScenarioSpec, seed: int, registry,
                     topology.set_fault_model(node, region,
                                              pool_scenario.access_fault)
                 access_nodes.append(node)
-        if provider_spec.corrupted:
-            corrupt_first_k(
-                pool_scenario.providers, provider_spec.corrupted,
-                CompromiseConfig(target=pool_scenario.pool_domain,
-                                 behavior=behavior,
-                                 forged_addresses=forged_list,
-                                 inflate_to=provider_spec.inflate_to))
+        _corrupt_providers(spec, pool_scenario)
         # Attack-implied attacker servers (forged answer targets,
         # timeshift victims) must exist before the fleet deploys and
         # count as attackers from the first sync.

@@ -1,5 +1,6 @@
 """Campaign progress reporting and content-hash result caching."""
 
+import json
 import random
 
 import pytest
@@ -116,6 +117,25 @@ class TestResultCache:
         for path in tmp_path.glob("*.json"):
             path.write_text("{not json")
         assert runner.run(self._grid()).mode == "serial"
+
+    @pytest.mark.parametrize("bad_metric", ["not-a-number", None])
+    def test_corrupt_cached_metric_recomputes(self, tmp_path, bad_metric):
+        """A cache file that parses but holds a metric no float can be
+        made of is a miss, not a crash: the rerun recomputes and
+        rewrites a valid entry."""
+        runner = CampaignRunner(noisy_trial, workers=0, cache_dir=tmp_path)
+        first = runner.run(self._grid())
+        (path,) = tmp_path.glob("*.json")
+        payload = json.loads(path.read_text())
+        payload["records"][0]["metrics"]["value"] = bad_metric
+        path.write_text(json.dumps(payload))
+
+        again = runner.run(self._grid())
+        assert again.mode != "cached"
+        assert again.records == first.records
+        rewritten = json.loads(path.read_text())
+        assert isinstance(rewritten["records"][0]["metrics"]["value"], float)
+        assert runner.run(self._grid()).mode == "cached"
 
     def test_cached_records_keep_live_params(self, tmp_path):
         """Cached runs rebuild records from the live grid, so params
