@@ -21,7 +21,7 @@ the registry snapshot exported into the campaign JSON via
 from repro.campaign import CampaignRunner, ParameterGrid, spec_trial
 from repro.scenarios.spec import (
     AttackSpec,
-    FaultSpec,
+    FaultModel,
     LinkSpec,
     RegionSpec,
     population_spec,
@@ -37,7 +37,7 @@ REGIONS = (
                link=LinkSpec(latency=0.012, jitter=0.003)),
     RegionSpec(name="asia", attach="asia-east",
                link=LinkSpec(latency=0.030, jitter=0.008),
-               fault=FaultSpec(loss_rate=0.05)),
+               fault=FaultModel(loss_rate=0.05)),
 )
 ASIA_LINK = REGIONS[2].link_name
 

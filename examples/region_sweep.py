@@ -10,14 +10,14 @@ Run:  python examples/region_sweep.py
 
 from repro.campaign import CampaignRunner, ParameterGrid, spec_trial
 from repro.scenarios import (
-    AttackSpec, FaultSpec, LinkSpec, RegionSpec, population_spec, set_path,
+    AttackSpec, FaultModel, LinkSpec, RegionSpec, population_spec,
 )
 
 REGIONS = (
     RegionSpec(name="eu", attach="eu-central", link=LinkSpec(latency=0.002)),
     RegionSpec(name="us", attach="us-east", link=LinkSpec(latency=0.012)),
     RegionSpec(name="asia", attach="asia-east", link=LinkSpec(latency=0.030),
-               fault=FaultSpec(loss_rate=0.05)),     # a lossy far edge
+               fault=FaultModel(loss_rate=0.05)),    # a lossy far edge
 )
 ONPATH = AttackSpec.of("mitm", at="region:eu", mode="poison",
                        forged=("203.0.113.101", "203.0.113.102"))

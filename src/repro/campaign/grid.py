@@ -43,7 +43,11 @@ def format_param(value: Any) -> str:
         return str(value.value)
     if isinstance(value, str):
         return value
-    return repr(value)
+    # Fault and provider-profile nodes keep the key spelling of the
+    # FaultSpec/ProfileSpec classes they replaced, so spec-valued axes
+    # (``network.regions``, ``provider.profiles``) keep their seeds.
+    return (repr(value).replace("FaultModel(", "FaultSpec(")
+            .replace("DoHProviderProfile(", "ProfileSpec("))
 
 
 def point_key(params: Params) -> str:

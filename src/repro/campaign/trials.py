@@ -29,11 +29,8 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 from repro.analysis.advantage import security_bits
 from repro.attacks.offpath import OffPathPoisoner, SprayPlan
 from repro.core.majority import MajorityVoteCombiner
-from repro.core.policy import DualStackPolicy, TruncationPolicy
-from repro.core.pool import PoolGeneratorConfig
 from repro.dns.client import StubResolver
 from repro.dns.message import Question
-from repro.dns.resolver import ResolverConfig
 from repro.dns.rrtype import RRType
 from repro.netsim.address import Endpoint, IPAddress
 from repro.ntp.chronos import ChronosClient, ChronosConfig
@@ -43,6 +40,7 @@ from repro.ntp.pool import deploy_ntp_fleet
 from repro.scenarios import PoolScenario
 from repro.scenarios.spec import (
     AttackSpec,
+    ResolverSpec,
     ScenarioSpec,
     apply_paths,
     effective_forged,
@@ -257,15 +255,7 @@ def spec_trial(params: Mapping[str, Any], seed: int):
     forged = {IPAddress(a) for a in effective_forged(spec)}
     for attack in spec.attacks:
         forged.update(IPAddress(a) for a in attack.param("forged", ()))
-    min_answers = spec.pool.min_answers
-    dual_stack = spec.pool.dual_stack_policy
-    generator_config = PoolGeneratorConfig(
-        truncation=TruncationPolicy(spec.pool.truncation),
-        dual_stack=None if dual_stack is None else DualStackPolicy(dual_stack),
-        min_answers=min_answers,
-        ignore_empty_answers=min_answers is not None)
-    pool = world.generate_pool_sync(
-        world.make_generator(config=generator_config))
+    pool = world.generate_pool_sync()
     metrics = _pool_generation_metrics(world, pool, forged)
     if world.telemetry is not None:
         return metrics, world.telemetry.snapshot_json()
@@ -620,8 +610,8 @@ def offpath_spray_trial(params: Mapping[str, Any],
     covered_bits = int(params["covered_bits"])
     scenario = materialize(pool_spec(
         num_providers=1,
-        resolver_config=ResolverConfig(txid_bits=txid_bits,
-                                       randomize_txid=True)), seed)
+        resolver_config=ResolverSpec(txid_bits=txid_bits,
+                                     randomize_txid=True)), seed)
     victim = scenario.providers[0]
     victim.host.randomize_ports = False
     poisoner = OffPathPoisoner(scenario.internet,

@@ -88,9 +88,8 @@ def combine_with_quorum(
     * strict (``min_answers=None``): every resolver must have answered,
       and one empty answer truncates the pool to nothing — §II fn.2's
       documented DoS;
-    * quorum: zero-record answers are discarded like failures
-      (``ignore_empty_answers`` pairing) and at least ``min_answers``
-      usable answers are required.
+    * quorum: zero-record answers are discarded like failures and at
+      least ``min_answers`` usable answers are required.
 
     Returns the combined pool, or ``None`` when no usable pool exists.
     """
@@ -120,22 +119,19 @@ class PoolGeneratorConfig:
     :param dual_stack: None for single-family lookups, or a
         :class:`DualStackPolicy` to query both A and AAAA (§II fn. 1).
     :param min_answers: minimum resolvers that must answer successfully.
-        The paper's strict reading requires *all* (an empty or missing
-        answer is a DoS); setting this below N is the documented
-        availability extension measured in E6.
-    :param ignore_empty_answers: treat a zero-record answer as a failed
-        resolver instead of letting it truncate the pool to nothing.
-        Off by default (the paper's semantics, §II fn. 2); pairs with
-        ``min_answers`` for the E6 availability extension. The cost:
-        with e of N resolvers excluded as empty, a remaining corrupted
-        resolver's share grows from 1/N to 1/(N-e).
+        The paper's strict reading (``None``) requires *all*, and an
+        empty answer truncates the pool to nothing (§II fn. 2's DoS).
+        Setting it is the availability extension measured in E6: a
+        zero-record answer then counts as a failed resolver, as in
+        :func:`combine_with_quorum`. The cost: with e of N resolvers
+        excluded as empty, a remaining corrupted resolver's share grows
+        from 1/N to 1/(N-e).
     :param qtype: address family for single-family operation.
     """
 
     truncation: TruncationPolicy = TruncationPolicy.SHORTEST
     dual_stack: Optional[DualStackPolicy] = None
     min_answers: Optional[int] = None
-    ignore_empty_answers: bool = False
     qtype: RRType = RRType.A
 
     def __post_init__(self) -> None:
@@ -241,14 +237,12 @@ class SecurePoolGenerator:
     def _combine(self, answers: List[ResolverAnswer],
                  started_at: float) -> GeneratedPool:
         # The gate below is the rich-metadata (contributions, failed
-        # resolvers, dual-stack) form of ``combine_with_quorum``; any
-        # change to the strict/quorum semantics must land in both.
+        # resolvers, dual-stack) form of ``combine_with_quorum``'s one
+        # usable-answer rule: an answer, non-empty under a quorum.
+        quorum = self._config.min_answers is not None
+
         def usable(answer: ResolverAnswer) -> bool:
-            if not answer.ok:
-                return False
-            if self._config.ignore_empty_answers and not answer.addresses:
-                return False
-            return True
+            return answer.ok and (not quorum or bool(answer.addresses))
 
         succeeded = [answer for answer in answers if usable(answer)]
         failed = [answer.resolver.name for answer in answers

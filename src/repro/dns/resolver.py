@@ -51,13 +51,18 @@ from repro.netsim.transport import (
     RetryPolicy,
     Transport,
 )
+from repro.util.specbase import SpecBase
 
 DNS_PORT = 53
 
 
 @dataclass(frozen=True)
-class ResolverConfig:
+class ResolverConfig(SpecBase):
     """Tunables for the recursive resolver.
+
+    Serializes through :class:`SpecBase`; the scenario layer's
+    ``ResolverSpec`` is this class plus the world-level resolution
+    fields, handed to every provider's resolver unchanged.
 
     ``txid_bits`` exists so attack experiments can shrink the TXID space
     (the real space is 16 bits; classic pre-randomisation resolvers

@@ -21,11 +21,13 @@ from repro.netsim.address import Endpoint, IPAddress
 from repro.netsim.host import Host
 from repro.netsim.internet import Internet
 from repro.util.rng import RngRegistry
+from repro.util.specbase import SpecBase
 
 
 @dataclass(frozen=True)
-class DoHProviderProfile:
-    """Static description of a provider before deployment."""
+class DoHProviderProfile(SpecBase):
+    """Static description of a provider before deployment (and the
+    scenario spec's ``ProviderSpec.profiles`` entry)."""
 
     name: str          # TLS server name, e.g. "dns.google"
     region: str        # topology node to attach to
@@ -108,7 +110,7 @@ def deploy_provider(internet: Internet, profile: DoHProviderProfile,
         rng=rng_registry.stream("provider-ports", profile.name)))
     resolver = RecursiveResolver(
         host, internet.simulator, root_hints,
-        config=resolver_config or ResolverConfig(),
+        config=resolver_config,
         rng=rng_registry.stream("provider-txid", profile.name),
         instrument=instrument)
     keypair = KeyPair.generate(rng_registry.stream("provider-key", profile.name))

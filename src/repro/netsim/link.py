@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
+from repro.util.specbase import SpecBase
 from repro.util.validation import check_non_negative, check_probability
 
 
@@ -65,8 +66,12 @@ class LinkProfile:
 
 
 @dataclass(frozen=True)
-class FaultModel:
+class FaultModel(SpecBase):
     """Composable fault injection for one link.
+
+    Also the scenario spec's fault node (``NetworkSpec.fault``,
+    ``RegionSpec.fault``): it serializes through :class:`SpecBase` and
+    the compiler installs it on the link unchanged.
 
     All effects are applied *independently per packet*, after the
     link's intrinsic profile, drawing from the link's dedicated fault

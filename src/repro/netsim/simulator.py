@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.telemetry.trace import current_tracer
 
@@ -291,9 +291,3 @@ class Timer:
     def _fire(self) -> None:
         self._event = None
         self._callback()
-
-
-def run_all(simulator: Simulator, *, max_events: int = 1_000_000) -> Any:
-    """Convenience: drain ``simulator`` and return it (for chaining)."""
-    simulator.run_until_idle(max_events=max_events)
-    return simulator

@@ -31,7 +31,7 @@ wire traffic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from repro.netsim.address import Endpoint
@@ -402,7 +402,6 @@ class Transport:
         self._simulator = simulator
         self._rng = rng or random.Random(0)
         self._txid_bits = txid_bits
-        self._exchanges_timed_out = 0
         # Captured once at construction: with no registry installed the
         # per-exchange publish below is skipped entirely; likewise with
         # no tracer installed no exchange/attempt spans are allocated.
@@ -426,10 +425,6 @@ class Transport:
     def tracer(self) -> Optional[Tracer]:
         """The tracer captured at construction (``None`` = untraced)."""
         return self._tracer
-
-    @property
-    def exchanges_timed_out(self) -> int:
-        return self._exchanges_timed_out
 
     def draw_txid(self) -> int:
         """Draw one transaction ID from the transport's RNG stream."""
@@ -470,8 +465,6 @@ class Transport:
     def _finalize(self, on_complete: CompletionCallback,
                   label: str) -> CompletionCallback:
         def wrapped(report: ExchangeReport) -> None:
-            if report.timed_out:
-                self._exchanges_timed_out += 1
             if self._telemetry is not None:
                 self._publish(report, label)
             on_complete(report)

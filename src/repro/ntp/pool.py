@@ -9,15 +9,17 @@ asks for them — malicious ones lying by a configured shift.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.netsim.address import IPAddress
 from repro.netsim.host import Host
 from repro.netsim.internet import Internet
 from repro.ntp.clock import SimClock
 from repro.ntp.server import NtpServer
-from repro.scenarios.workload import PoolDirectory
 from repro.util.rng import RngRegistry
+
+if TYPE_CHECKING:  # the scenario layer sits above ntp
+    from repro.scenarios.workload import PoolDirectory
 
 
 @dataclass

@@ -22,7 +22,7 @@ from repro.population.fleet import (
     BatchDispatcher,
     ClientFleet,
     ClientRoundState,
-    FleetConfig,
+    FleetSpec,
     PopulationOutcomes,
     RoundRng,
     RoundStep,
@@ -44,7 +44,7 @@ __all__ = [
     "BatchDispatcher",
     "ClientFleet",
     "ClientRoundState",
-    "FleetConfig",
+    "FleetSpec",
     "PeriodicArrivals",
     "PoissonArrivals",
     "PopulationOutcomes",

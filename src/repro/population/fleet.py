@@ -42,12 +42,12 @@ Scale machinery:
   sharded engine (:mod:`repro.population.sharding`) reuses the same
   function, so the round semantics cannot fork between the two.
 
-Fleets can also be a *window* of a larger population: ``first_index``
-and ``population`` give each client its **global** identity — RNG
-stream names, addresses, node attachment and arrival phase all derive
-from the global index over the total population — so K windows
-covering ``range(population)`` behave client-for-client exactly like
-one fleet of ``population`` clients (the sharded megafleet contract).
+Fleets can also be a *window* of the spec's population: ``first_index``
+and ``clients`` pick the window, and each client keeps its **global**
+identity — RNG stream names, addresses, node attachment and arrival
+phase all derive from the global index over ``FleetSpec.size`` — so K
+windows covering ``range(size)`` behave client-for-client exactly like
+one fleet of ``size`` clients (the sharded megafleet contract).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.pool import combine_with_quorum
-from repro.dns.client import StubOutcome, StubResolver
+from repro.dns.client import StubResolver
 from repro.dns.name import Name
 from repro.dns.rrtype import RRType
 from repro.netsim.address import IPAddress
@@ -70,6 +70,8 @@ from repro.population.arrivals import ArrivalProcess, make_arrivals
 from repro.telemetry.registry import MetricsRegistry, use_registry
 from repro.telemetry.trace import current_tracer
 from repro.util.rng import RngRegistry
+from repro.util.specbase import SpecBase
+from repro.util.validation import ConfigurationError
 
 
 def _doh_addresses(outcome) -> Optional[List[IPAddress]]:
@@ -135,11 +137,29 @@ class BatchDispatcher:
             fn()
 
 
-@dataclass(frozen=True)
-class FleetConfig:
-    """Shape and behaviour of a client population.
+#: FleetSpec transports: plain-DNS stub queries (cheap, the legacy
+#: population path) or per-query DoH with full TLS cost.
+FLEET_TRANSPORTS = ("udp", "doh")
 
-    :param num_clients: fleet size.
+#: Ceiling of the fleet's ``10.120+`` address scheme: 256 hosts per /24
+#: block times the 10.120-10.255 second-octet range.
+MAX_CLIENTS = 136 * 256 * 200
+
+#: Client patience: stub/DoH query timeout and retries, SNTP timeout.
+DNS_TIMEOUT = 3.0
+DNS_RETRIES = 1
+NTP_TIMEOUT = 1.0
+
+#: Batching bin (virtual seconds) for round wake-ups.
+DISPATCH_QUANTUM = 0.05
+
+
+@dataclass(frozen=True)
+class FleetSpec(SpecBase):
+    """A measured client population: the scenario spec's ``fleet``
+    node, read as-is by :class:`ClientFleet` and :func:`advance_round`.
+
+    :param size: number of clients in the whole population.
     :param rounds: resolve→sync rounds each client performs.
     :param mean_interval: seconds between one client's rounds (the
         period for ``periodic`` arrivals, the mean for ``poisson``).
@@ -156,24 +176,21 @@ class FleetConfig:
         (cheap, spoofable, the default) — or ``"doh"`` — one RFC 8484
         query over a fresh TLS connection per provider per resolve, so
         every client pays the per-query handshake cost the paper's
-        distributed lookup implies.  DoH mode needs the fleet to be
-        given provider ``endpoints``/``server_names`` and a
-        ``trust_store``.
+        distributed lookup implies.  ``"doh"`` requires
+        ``ProviderSpec.serve == "doh"``.
     :param initial_clock_error: clients start with clock errors uniform
         in ±this (seconds).
     :param shift_threshold: |clock error| beyond which a synced client
         counts as successfully time-shifted.
-    :param dns_timeout / dns_retries / ntp_timeout: client patience.
-    :param time_bin: width (virtual seconds) of the telemetry time bins
-        for the population's victim/availability curves.
-    :param dispatch_quantum: batching bin for round wake-ups.
+    :param shards: 1 (the default) runs the whole population in one
+        world; K > 1 materializes a
+        :class:`repro.population.sharding.ShardedFleet` — K windows of
+        the population, each in its own world, executed through the
+        campaign executor layer and folded back into one telemetry
+        registry (the megafleet path; see the sharding module).
     """
 
-    #: Ceiling of the fleet's ``10.120+`` address scheme: 256 hosts per
-    #: /24 block times the 10.120-10.255 second-octet range.
-    MAX_CLIENTS = 136 * 256 * 200
-
-    num_clients: int = 50
+    size: int = 50
     rounds: int = 3
     mean_interval: float = 16.0
     arrival: str = "periodic"
@@ -184,29 +201,37 @@ class FleetConfig:
     transport: str = "udp"
     initial_clock_error: float = 0.050
     shift_threshold: float = 1.0
-    dns_timeout: float = 3.0
-    dns_retries: int = 1
-    ntp_timeout: float = 1.0
-    time_bin: float = 10.0
-    dispatch_quantum: float = 0.05
+    shards: int = 1
 
     def __post_init__(self) -> None:
-        if not 1 <= self.num_clients <= self.MAX_CLIENTS:
-            raise ValueError(
-                f"num_clients must be in [1, {self.MAX_CLIENTS}] "
-                f"(the fleet's 10.120.0.0+ address range)")
+        if not 1 <= self.size <= MAX_CLIENTS:
+            raise ConfigurationError(
+                f"fleet size must be in [1, {MAX_CLIENTS}] (the fleet's "
+                f"10.120.0.0+ address range), got {self.size}")
         if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
+            raise ConfigurationError(
+                f"rounds must be >= 1, got {self.rounds}")
         if self.resolve_every < 1:
-            raise ValueError("resolve_every must be >= 1")
+            raise ConfigurationError(
+                f"resolve_every must be >= 1, got {self.resolve_every}")
         if not 0.0 <= self.churn_rate <= 1.0:
-            raise ValueError("churn_rate must be in [0, 1]")
+            raise ConfigurationError(
+                f"churn_rate must be in [0, 1], got {self.churn_rate}")
         if self.min_answers is not None and self.min_answers < 1:
-            raise ValueError("min_answers must be >= 1 (or None for the "
-                             "strict all-must-answer semantics)")
-        if self.transport not in ("udp", "doh"):
-            raise ValueError(
-                f"transport must be 'udp' or 'doh', got {self.transport!r}")
+            raise ConfigurationError(
+                "min_answers must be >= 1 (or None for the strict "
+                "all-must-answer semantics)")
+        if self.arrival not in ("periodic", "poisson"):
+            raise ConfigurationError(
+                f"arrival must be 'periodic' or 'poisson', "
+                f"got {self.arrival!r}")
+        if self.transport not in FLEET_TRANSPORTS:
+            raise ConfigurationError(
+                f"transport must be one of {FLEET_TRANSPORTS}, "
+                f"got {self.transport!r}")
+        if self.shards < 1:
+            raise ConfigurationError(
+                f"shards must be >= 1, got {self.shards}")
 
 
 @dataclass
@@ -291,7 +316,7 @@ class RoundStep:
     clock_error: float = 0.0
 
 
-def advance_round(config: FleetConfig, state: ClientRoundState,
+def advance_round(config: FleetSpec, state: ClientRoundState,
                   rng: RoundRng, phase: str,
                   answers: Optional[Dict[int, Optional[List[IPAddress]]]] = None,
                   synced: bool = False, attacker: bool = False,
@@ -344,7 +369,7 @@ def advance_round(config: FleetConfig, state: ClientRoundState,
     raise ValueError(f"unknown round phase {phase!r}")
 
 
-def _conclude(config: FleetConfig, state: ClientRoundState, rng: RoundRng,
+def _conclude(config: FleetSpec, state: ClientRoundState, rng: RoundRng,
               **flags) -> RoundStep:
     """Close the round: count it, then decide stop / churn-leave /
     reschedule (drawing churn and arrival randomness in that order)."""
@@ -427,7 +452,10 @@ class ClientFleet:
     :param nodes: topology nodes clients attach to, round-robin
         (default: every node). Scenario builders pass dedicated access
         edges here so link faults reach the whole population.
-    :param config: fleet shape and behaviour.
+    :param config: fleet shape and behaviour; ``config.size`` is the
+        whole population, which drives arrival phasing and the
+        active-clients gauge so per-shard telemetry is
+        window-position-independent.
     :param attacker_addresses: addresses that count a synced client as
         a victim (forged answers and attacker-enrolled pool members).
     :param registry: telemetry sink; a private one is created when not
@@ -440,22 +468,23 @@ class ClientFleet:
     :param first_index: global index of this fleet's first client —
         non-zero when the fleet is one shard's window of a larger
         population (see the module docstring).
-    :param population: total population size across every window
-        (default: ``num_clients``, i.e. this fleet is the whole
-        population). Drives arrival phasing and the active-clients
-        gauge so per-shard telemetry is window-position-independent.
+    :param clients: how many clients this window hosts (default: the
+        whole population).
+    :param time_bin: width (virtual seconds) of the telemetry time bins
+        for the population's victim/availability curves.
     """
 
     def __init__(self, internet: Internet, providers: Sequence[IPAddress],
                  pool_domain: "Name | str", rng: RngRegistry,
                  nodes: Optional[Sequence[str]] = None,
-                 config: Optional[FleetConfig] = None,
+                 config: Optional[FleetSpec] = None,
                  attacker_addresses: Sequence["IPAddress | str"] = (),
                  registry: Optional[MetricsRegistry] = None,
                  endpoints: Optional[Sequence] = None,
                  server_names: Optional[Sequence[str]] = None,
                  trust_store=None, first_index: int = 0,
-                 population: Optional[int] = None) -> None:
+                 clients: Optional[int] = None,
+                 time_bin: float = 10.0) -> None:
         if not providers:
             raise ValueError("fleet needs at least one provider")
         self._internet = internet
@@ -464,7 +493,7 @@ class ClientFleet:
         self._pool_domain = Name(pool_domain)
         self._nodes = list(nodes) if nodes else internet.topology.nodes
         self._rng = rng
-        self._config = config or FleetConfig()
+        self._config = config or FleetSpec()
         if self._config.transport == "doh":
             if endpoints is None or server_names is None or trust_store is None:
                 raise ValueError(
@@ -480,29 +509,27 @@ class ClientFleet:
         self._attackers: Set[IPAddress] = {
             IPAddress(a) for a in attacker_addresses}
         self._first_index = int(first_index)
-        self._population = (int(population) if population is not None
-                            else self._config.num_clients)
+        self._population = self._config.size
+        size = self._population if clients is None else int(clients)
         if self._first_index < 0:
             raise ValueError(f"first_index must be >= 0, got {first_index}")
-        if not (self._first_index + self._config.num_clients
-                <= self._population <= FleetConfig.MAX_CLIENTS):
+        if not 1 <= size <= self._population - self._first_index:
             raise ValueError(
-                f"window [{self._first_index}, "
-                f"{self._first_index + self._config.num_clients}) must fit "
-                f"inside the population "
-                f"(got population={self._population}, max "
-                f"{FleetConfig.MAX_CLIENTS})")
+                f"window [{self._first_index}, {self._first_index + size}) "
+                f"must be non-empty and fit inside the population "
+                f"(got population={self._population})")
+        self._time_bin = time_bin
         self.registry = registry or MetricsRegistry()
         # Same zero-cost contract as the registry: capture the ambient
         # tracer once; with none installed the round loop allocates
         # nothing trace-related.
         self._tracer = current_tracer()
         self._dispatcher = BatchDispatcher(
-            self._simulator, self._config.dispatch_quantum)
+            self._simulator, DISPATCH_QUANTUM)
         self._started = False
         self._build_instruments()
         self._clients = [self._build_client(index)
-                         for index in range(self._config.num_clients)]
+                         for index in range(size)]
         # The gauge reports the *global* population: every window of the
         # same population publishes the same value at the same virtual
         # times (under churn each shard tracks only its own leavers, so
@@ -515,7 +542,7 @@ class ClientFleet:
 
     def _build_instruments(self) -> None:
         reg = self.registry
-        bin_width = self._config.time_bin
+        bin_width = self._time_bin
         self._m_rounds = reg.counter("pop.rounds")
         self._m_rounds_ok = reg.counter("pop.rounds_ok")
         self._m_rounds_failed = reg.counter("pop.rounds_failed")
@@ -545,7 +572,7 @@ class ClientFleet:
         # to the direct derive_seed path — see StreamPrefix).
         streams = self._rng.prefixed("population", tag)
         # 200 clients per /24, 256 blocks per second octet, octets
-        # 10.120-10.255: room for FleetConfig.MAX_CLIENTS addresses
+        # 10.120-10.255: room for MAX_CLIENTS addresses
         # clear of every infrastructure range.
         block, slot = divmod(g, 200)
         address = IPAddress(
@@ -567,16 +594,15 @@ class ClientFleet:
                 stubs: List[StubResolver] = []
                 doh = DoHClient(host, self._simulator, self._trust_store,
                                 rng=streams.stream("doh"),
-                                timeout=config.dns_timeout,
-                                retries=config.dns_retries)
+                                timeout=DNS_TIMEOUT, retries=DNS_RETRIES)
             else:
                 stubs = [StubResolver(host, self._simulator, provider,
-                                      timeout=config.dns_timeout,
-                                      retries=config.dns_retries,
+                                      timeout=DNS_TIMEOUT,
+                                      retries=DNS_RETRIES,
                                       rng=streams.stream("txid", str(pi)))
                          for pi, provider in enumerate(self._providers)]
             ntp = NtpClient(host, self._simulator, clock,
-                            timeout=config.ntp_timeout)
+                            timeout=NTP_TIMEOUT)
         arrivals = make_arrivals(
             config.arrival, config.mean_interval, g, self._population,
             rng=streams.stream("arrival"))
@@ -590,7 +616,7 @@ class ClientFleet:
     # ------------------------------------------------------------------
 
     @property
-    def config(self) -> FleetConfig:
+    def config(self) -> FleetSpec:
         return self._config
 
     @property

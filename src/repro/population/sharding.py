@@ -109,8 +109,7 @@ def _shard_trial(params: Mapping[str, Any], seed: int):
     from repro.scenarios.spec import ScenarioSpec, _materialize_population
 
     spec = ScenarioSpec.from_json(params["spec"])
-    window = (int(params["first_index"]), int(params["size"]),
-              int(params["population"]))
+    window = (int(params["first_index"]), int(params["size"]))
     metrics = {"shard": float(params["shard"])}
     if params.get("trace"):
         # The parent's tracer cannot cross the process boundary; each
@@ -199,7 +198,7 @@ class ShardedFleet:
             (_shard_trial, plan.shard, f"shard={plan.shard}",
              {"spec": spec_json, "shard": plan.shard,
               "first_index": plan.first_index, "size": plan.size,
-              "population": self.population, "max_events": max_events,
+              "max_events": max_events,
               "trace": self._tracer is not None},
              0, self.seed)
             for plan in self.plans

@@ -20,13 +20,13 @@ from repro.scenarios.presets import (
 from repro.scenarios.spec import (
     RESOLVER_MODES,
     AttackSpec,
-    FaultSpec,
+    DoHProviderProfile,
+    FaultModel,
     FleetSpec,
     HierarchySpec,
     LinkSpec,
     NetworkSpec,
     PoolSpec,
-    ProfileSpec,
     ProviderSpec,
     RegionSpec,
     ResolverSpec,
@@ -43,7 +43,8 @@ from repro.scenarios.workload import PoolDirectory
 
 __all__ = [
     "AttackSpec",
-    "FaultSpec",
+    "DoHProviderProfile",
+    "FaultModel",
     "FleetSpec",
     "HierarchySpec",
     "LinkSpec",
@@ -52,7 +53,6 @@ __all__ = [
     "PoolScenario",
     "PoolSpec",
     "PopulationScenario",
-    "ProfileSpec",
     "ProviderSpec",
     "RESOLVER_MODES",
     "RegionSpec",

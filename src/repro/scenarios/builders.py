@@ -67,6 +67,10 @@ class PoolScenario:
     #: The installed :class:`repro.chaos.ChaosController` when the
     #: scenario spec declared a failure timeline; None otherwise.
     chaos: Optional[Any] = None
+    #: The spec's combine policy (a
+    #: :class:`repro.core.pool.PoolGeneratorConfig`), the default of
+    #: every generator :meth:`make_generator` builds.
+    generator_config: Optional[Any] = None
 
     def run(self, until: Optional[float] = None) -> None:
         """Drain the simulation (convenience passthrough)."""
@@ -96,13 +100,14 @@ class PoolScenario:
     def make_generator(self, config=None, assumed_secure_fraction: float = 0.5,
                        method: str = "GET", timeout: float = 4.0,
                        retries: int = 2):
-        """A ready-to-use :class:`repro.core.SecurePoolGenerator`."""
+        """A ready-to-use :class:`repro.core.SecurePoolGenerator`
+        (``config`` defaults to the world's :attr:`generator_config`)."""
         from repro.core.pool import SecurePoolGenerator
         return SecurePoolGenerator(
             self.make_doh_client(method=method, timeout=timeout,
                                  retries=retries),
             self.make_resolver_set(assumed_secure_fraction),
-            self.simulator, config)
+            self.simulator, config or self.generator_config)
 
     def generate_pool_sync(self, generator=None, domain: Optional[str] = None):
         """Run one Algorithm 1 generation to completion and return it."""

@@ -12,10 +12,9 @@ from dataclasses import replace
 from typing import Optional
 
 from repro.core.errors import UnknownPresetError
-from repro.netsim.link import LinkProfile
+from repro.netsim.link import FaultModel, LinkProfile
 from repro.scenarios.spec import (
     AttackSpec,
-    FaultSpec,
     HierarchySpec,
     LinkSpec,
     ResolverSpec,
@@ -63,10 +62,10 @@ def degraded_network_spec(loss_rate: float = 0.0, jitter_s: float = 0.0,
     return replace(
         spec,
         network=replace(spec.network,
-                        fault=FaultSpec(loss_rate=loss_rate,
-                                        jitter_s=jitter_s,
-                                        reorder_window=reorder_window,
-                                        duplicate_rate=duplicate_rate)),
+                        fault=FaultModel(loss_rate=loss_rate,
+                                         jitter_s=jitter_s,
+                                         reorder_window=reorder_window,
+                                         duplicate_rate=duplicate_rate)),
         provider=replace(spec.provider, resolver=_PATIENT_RESOLVER))
 
 

@@ -11,13 +11,28 @@ The spec tree::
 
     ScenarioSpec
     ├── network: NetworkSpec          # access link, faults, RegionSpecs
+    │     ├── fault: FaultModel       # client access-link degradation
     │     └── regions: (RegionSpec,)  # per-region fleet access edges
     ├── provider: ProviderSpec        # resolver chain, serving, corruption
+    │     ├── profiles: (DoHProviderProfile, ...) | None
+    │     └── resolver: ResolverSpec | None
     ├── pool: PoolSpec                # directory size/ttl, combine policy
     ├── fleet: FleetSpec | None       # population (None = single client)
     ├── attacks: (AttackSpec, ...)    # named installers from repro.attacks
     ├── telemetry: TelemetrySpec      # registry scoping + binning
     └── chaos: ChaosSpec | None       # scheduled failure timeline
+
+Where a runtime layer already has a frozen config type, that type *is*
+the spec node: :class:`~repro.netsim.link.FaultModel`,
+:class:`~repro.doh.providers.DoHProviderProfile`,
+:class:`~repro.dns.resolver.ResolverConfig` (which :class:`ResolverSpec`
+extends with the world-level resolution fields),
+:class:`~repro.population.fleet.FleetSpec`,
+:class:`~repro.dns.hierarchy.HierarchySpec` and
+:class:`~repro.chaos.ChaosSpec` all serialize through
+:class:`~repro.util.specbase.SpecBase`, validate on construction, and
+reach the world unchanged.  Each setting has one type, one default and
+one validator.
 
 Three operations close the loop:
 
@@ -35,7 +50,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import (
     Any,
     Callable,
@@ -49,18 +64,13 @@ from typing import (
 )
 
 from repro.chaos.spec import ChaosSpec
+from repro.dns.hierarchy import HierarchySpec
 from repro.dns.resolver import ResolverConfig
+from repro.doh.providers import DoHProviderProfile
 from repro.netsim.link import FaultModel, LinkProfile
+from repro.population.fleet import FleetSpec
+from repro.util.specbase import SpecBase, _encode
 from repro.util.validation import ConfigurationError
-
-
-# ----------------------------------------------------------------------
-# Serialization base (moved to repro.util.specbase so lower layers can
-# define specs too; re-exported here for compatibility).
-# ----------------------------------------------------------------------
-
-from repro.dns.hierarchy import HierarchySpec  # noqa: E402
-from repro.util.specbase import SpecBase, _encode  # noqa: E402, F401
 
 
 # ----------------------------------------------------------------------
@@ -90,38 +100,6 @@ class LinkSpec(SpecBase):
 
 
 @dataclass(frozen=True)
-class FaultSpec(SpecBase):
-    """Serializable mirror of :class:`repro.netsim.link.FaultModel`."""
-
-    loss_rate: float = 0.0
-    jitter_s: float = 0.0
-    reorder_window: float = 0.0
-    reorder_rate: float = 0.25
-    duplicate_rate: float = 0.0
-    duplicate_gap_s: float = 0.002
-
-    @property
-    def active(self) -> bool:
-        return self.to_model().active
-
-    def to_model(self) -> FaultModel:
-        return FaultModel(
-            loss_rate=self.loss_rate, jitter_s=self.jitter_s,
-            reorder_window=self.reorder_window,
-            reorder_rate=self.reorder_rate,
-            duplicate_rate=self.duplicate_rate,
-            duplicate_gap_s=self.duplicate_gap_s)
-
-    @classmethod
-    def from_model(cls, model: FaultModel) -> "FaultSpec":
-        return cls(loss_rate=model.loss_rate, jitter_s=model.jitter_s,
-                   reorder_window=model.reorder_window,
-                   reorder_rate=model.reorder_rate,
-                   duplicate_rate=model.duplicate_rate,
-                   duplicate_gap_s=model.duplicate_gap_s)
-
-
-@dataclass(frozen=True)
 class RegionSpec(SpecBase):
     """One population access region: a dedicated edge node joined to a
     backbone attachment point by its own (possibly degraded) link."""
@@ -129,9 +107,9 @@ class RegionSpec(SpecBase):
     name: str
     attach: str = "eu-central"
     link: LinkSpec = LinkSpec()
-    fault: Optional[FaultSpec] = None
+    fault: Optional[FaultModel] = None
 
-    _NESTED = {"link": ("spec", LinkSpec), "fault": ("opt", FaultSpec)}
+    _NESTED = {"link": ("spec", LinkSpec), "fault": ("opt", FaultModel)}
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -157,10 +135,9 @@ class NetworkSpec(SpecBase):
         worlds without explicit regions, to every ``pop-edge-*`` link.
     :param fault: imposed degradation on the client access link (the
         E6/R1 sweep axes); inactive by default.
-    :param extra_fault: a second whole :class:`FaultSpec` composed on
-        top of ``fault`` (e.g. one built with
-        :meth:`FaultSpec.from_model` from an existing
-        :class:`~repro.netsim.link.FaultModel`).
+    :param extra_fault: a second whole
+        :class:`~repro.netsim.link.FaultModel` composed on top of
+        ``fault``.
     :param regions: population access regions.  Empty means the legacy
         layout — one ``pop-edge-<region>`` link per backbone region
         (``access`` profile, metro by default), all carrying the
@@ -173,13 +150,13 @@ class NetworkSpec(SpecBase):
     """
 
     access: Optional[LinkSpec] = None
-    fault: FaultSpec = FaultSpec()
-    extra_fault: Optional[FaultSpec] = None
+    fault: FaultModel = FaultModel()
+    extra_fault: Optional[FaultModel] = None
     regions: Tuple[RegionSpec, ...] = ()
     backbone: Optional[LinkSpec] = None
 
-    _NESTED = {"access": ("opt", LinkSpec), "fault": ("spec", FaultSpec),
-               "extra_fault": ("opt", FaultSpec),
+    _NESTED = {"access": ("opt", LinkSpec), "fault": ("spec", FaultModel),
+               "extra_fault": ("opt", FaultModel),
                "regions": ("tuple", RegionSpec),
                "backbone": ("opt", LinkSpec)}
 
@@ -192,9 +169,9 @@ class NetworkSpec(SpecBase):
 
     def access_fault_model(self) -> Optional[FaultModel]:
         """The composed client-edge fault, or ``None`` when inactive."""
-        model = self.fault.to_model()
+        model = self.fault
         if self.extra_fault is not None:
-            model = model.compose(self.extra_fault.to_model())
+            model = model.compose(self.extra_fault)
         return model if model.active else None
 
 
@@ -202,65 +179,31 @@ class NetworkSpec(SpecBase):
 # Provider / pool layers.
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProfileSpec(SpecBase):
-    """Serializable mirror of
-    :class:`repro.doh.providers.DoHProviderProfile`."""
-
-    name: str
-    region: str
-    address: str
-
-    def to_profile(self):
-        from repro.doh.providers import DoHProviderProfile
-        return DoHProviderProfile(name=self.name, region=self.region,
-                                  address=self.address)
-
-    @classmethod
-    def from_profile(cls, profile) -> "ProfileSpec":
-        return cls(name=profile.name, region=profile.region,
-                   address=profile.address)
-
-
 #: ResolverSpec modes: ``"forwarding"`` (the legacy flat tree — the
 #: providers' recursors resolve against the fixed root/org/ntpns
 #: layout) or ``"iterative"`` (a :class:`HierarchySpec`-compiled
 #: root→TLD→zone tree with instrumented caching recursion).
 RESOLVER_MODES = ("forwarding", "iterative")
 
-#: ResolverSpec fields that shape the *world*, not the per-resolver
-#: ResolverConfig; excluded from the config mirror round-trip.
-_RESOLVER_WORLD_FIELDS = ("mode", "hierarchy")
-
 
 @dataclass(frozen=True)
-class ResolverSpec(SpecBase):
-    """Serializable mirror of
-    :class:`repro.dns.resolver.ResolverConfig` (same defaults), plus
-    the world-level resolution axis: ``mode``/``hierarchy`` pick the
-    DNS tree the providers' recursors walk (they never reach the
-    per-resolver config).  Both serialize only when non-default, so
-    pre-hierarchy spec JSON stays byte-identical.
+class ResolverSpec(ResolverConfig):
+    """The providers' :class:`~repro.dns.resolver.ResolverConfig` (every
+    recursion tunable, its defaults and its validation), plus the
+    world-level resolution axis: ``mode``/``hierarchy`` pick the DNS
+    tree the providers' recursors walk.  The compiler hands this node
+    to every provider's resolver as its config.  Both world fields
+    serialize only when non-default, so pre-hierarchy spec JSON stays
+    byte-identical.
     """
 
-    query_timeout: float = 2.0
-    max_retries_per_server: int = 1
-    retry_backoff: float = 1.5
-    retry_max_timeout: Optional[float] = 8.0
-    max_referral_depth: int = 16
-    max_cname_chain: int = 8
-    max_ns_resolution_depth: int = 4
-    txid_bits: int = 16
-    randomize_txid: bool = True
-    cache_max_entries: int = 10_000
-    negative_ttl_cap: int = 900
-    serve_port: int = 53
     mode: str = "forwarding"
     hierarchy: Optional[HierarchySpec] = None
 
     _NESTED = {"hierarchy": ("opt", HierarchySpec)}
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.mode not in RESOLVER_MODES:
             raise ConfigurationError(
                 f"resolver mode must be one of {RESOLVER_MODES}, "
@@ -277,17 +220,6 @@ class ResolverSpec(SpecBase):
             del data["hierarchy"]
         return data
 
-    def to_config(self) -> ResolverConfig:
-        return ResolverConfig(**{f.name: getattr(self, f.name)
-                                 for f in fields(self)
-                                 if f.name not in _RESOLVER_WORLD_FIELDS})
-
-    @classmethod
-    def from_config(cls, config: ResolverConfig) -> "ResolverSpec":
-        return cls(**{f.name: getattr(config, f.name)
-                      for f in fields(cls)
-                      if f.name not in _RESOLVER_WORLD_FIELDS})
-
 
 #: ProviderSpec serving modes: full DoH front-end (the default, what
 #: ``deploy_provider`` stands up) or recursion engine + plain :53 only.
@@ -302,8 +234,9 @@ class ProviderSpec(SpecBase):
     and how many of them the adversary has corrupted.
 
     :param count: number of providers (Figure 1 names the first three).
-    :param profiles: explicit deployments; ``None`` uses Figure 1's
-        providers plus synthetic ones beyond three.
+    :param profiles: explicit deployments
+        (:class:`~repro.doh.providers.DoHProviderProfile`); ``None``
+        uses Figure 1's providers plus synthetic ones beyond three.
     :param resolver: recursion-engine tunables shared by all providers.
     :param serve: ``"doh"`` (TLS identity + DoH front-end + plain :53,
         the legacy deployment) or ``"dns"`` (plain-DNS serving only —
@@ -319,7 +252,7 @@ class ProviderSpec(SpecBase):
     """
 
     count: int = 3
-    profiles: Optional[Tuple[ProfileSpec, ...]] = None
+    profiles: Optional[Tuple[DoHProviderProfile, ...]] = None
     resolver: Optional[ResolverSpec] = None
     serve: str = "doh"
     corrupted: int = 0
@@ -327,7 +260,7 @@ class ProviderSpec(SpecBase):
     forged: Tuple[str, ...] = ()
     inflate_to: int = 20
 
-    _NESTED = {"profiles": ("opt_tuple", ProfileSpec),
+    _NESTED = {"profiles": ("opt_tuple", DoHProviderProfile),
                "resolver": ("opt", ResolverSpec),
                "forged": ("scalars", None)}
 
@@ -338,6 +271,10 @@ class ProviderSpec(SpecBase):
             object.__setattr__(self, "profiles", tuple(self.profiles))
             if len(self.profiles) != self.count:
                 raise ValueError("profiles length must equal num_providers")
+        if not isinstance(self.resolver, (ResolverSpec, type(None))):
+            raise ConfigurationError(
+                f"provider.resolver must be a ResolverSpec, "
+                f"got {type(self.resolver).__name__}")
         object.__setattr__(self, "forged", tuple(self.forged))
         if self.serve not in PROVIDER_SERVE_MODES:
             raise ConfigurationError(
@@ -393,57 +330,6 @@ class PoolSpec(SpecBase):
 # ----------------------------------------------------------------------
 # Fleet / telemetry layers.
 # ----------------------------------------------------------------------
-
-#: FleetSpec transports: plain-DNS stub queries (cheap, the legacy
-#: population path) or per-query DoH with full TLS cost.
-FLEET_TRANSPORTS = ("udp", "doh")
-
-
-@dataclass(frozen=True)
-class FleetSpec(SpecBase):
-    """A measured client population (see
-    :class:`repro.population.ClientFleet`).
-
-    :param size: number of clients.
-    :param transport: ``"udp"`` (plain-DNS stub per provider) or
-        ``"doh"`` (one TLS-wrapped DoH query per provider per round —
-        clients pay the per-query handshake the paper's Table couples
-        to the distributed lookup).  ``"doh"`` requires
-        ``ProviderSpec.serve == "doh"``.
-    :param shards: 1 (the default) runs the whole population in one
-        world; K > 1 materializes a
-        :class:`repro.population.sharding.ShardedFleet` — K windows of
-        the population, each in its own world, executed through the
-        campaign executor layer and folded back into one telemetry
-        registry (the megafleet path; see the sharding module).
-    """
-
-    size: int = 50
-    rounds: int = 3
-    mean_interval: float = 16.0
-    arrival: str = "periodic"
-    resolve_every: int = 1
-    churn_rate: float = 0.0
-    rejoin_delay: float = 30.0
-    min_answers: Optional[int] = None
-    transport: str = "udp"
-    initial_clock_error: float = 0.050
-    shift_threshold: float = 1.0
-    shards: int = 1
-
-    def __post_init__(self) -> None:
-        if self.arrival not in ("periodic", "poisson"):
-            raise ConfigurationError(
-                f"arrival must be 'periodic' or 'poisson', "
-                f"got {self.arrival!r}")
-        if self.transport not in FLEET_TRANSPORTS:
-            raise ConfigurationError(
-                f"transport must be one of {FLEET_TRANSPORTS}, "
-                f"got {self.transport!r}")
-        if self.shards < 1:
-            raise ConfigurationError(
-                f"shards must be >= 1, got {self.shards}")
-
 
 @dataclass(frozen=True)
 class TelemetrySpec(SpecBase):
@@ -833,8 +719,8 @@ def pool_spec(
     pool_size: int = 20,
     answers_per_query: int = 4,
     dual_stack: bool = False,
-    profiles: Optional[Sequence[Any]] = None,
-    resolver_config: Optional[ResolverConfig] = None,
+    profiles: Optional[Sequence[DoHProviderProfile]] = None,
+    resolver_config: Optional[ResolverSpec] = None,
     access_link: Optional[LinkProfile] = None,
     pool_ttl: int = 60,
     loss_rate: float = 0.0,
@@ -847,22 +733,17 @@ def pool_spec(
     link.  Corruption and the combine policy are spec paths
     (``provider.corrupted``, ``pool.truncation``, ...) a grid sweeps
     with ``ParameterGrid.over_spec``."""
-    if num_providers < 1:
-        raise ValueError("need at least one provider")
     return ScenarioSpec(
         network=NetworkSpec(
             access=(None if access_link is None
                     else LinkSpec.from_profile(access_link)),
-            fault=FaultSpec(loss_rate=loss_rate, jitter_s=jitter_s,
-                            reorder_window=reorder_window,
-                            duplicate_rate=duplicate_rate)),
+            fault=FaultModel(loss_rate=loss_rate, jitter_s=jitter_s,
+                             reorder_window=reorder_window,
+                             duplicate_rate=duplicate_rate)),
         provider=ProviderSpec(
             count=num_providers,
-            profiles=(None if profiles is None else tuple(
-                p if isinstance(p, ProfileSpec) else ProfileSpec.from_profile(p)
-                for p in profiles)),
-            resolver=(None if resolver_config is None
-                      else ResolverSpec.from_config(resolver_config))),
+            profiles=profiles,
+            resolver=resolver_config),
         pool=PoolSpec(size=pool_size, answers_per_query=answers_per_query,
                       ttl=pool_ttl, dual_stack=dual_stack))
 
@@ -899,9 +780,9 @@ def population_spec(
     behavior = getattr(behavior, "value", behavior)
     return ScenarioSpec(
         network=NetworkSpec(
-            fault=FaultSpec(loss_rate=loss_rate, jitter_s=jitter_s,
-                            reorder_window=reorder_window,
-                            duplicate_rate=duplicate_rate)),
+            fault=FaultModel(loss_rate=loss_rate, jitter_s=jitter_s,
+                             reorder_window=reorder_window,
+                             duplicate_rate=duplicate_rate)),
         provider=ProviderSpec(count=num_providers, corrupted=corrupted,
                               behavior=behavior,
                               forged=tuple(str(a) for a in forged)),
@@ -1016,8 +897,9 @@ def _build_pool_world(spec: ScenarioSpec, seed: int):
     scenario's :class:`~repro.dns.hierarchy.HierarchySpec` into a
     root→TLD→zone referral chain and instruments the providers'
     caching resolvers."""
+    from repro.core.policy import DualStackPolicy, TruncationPolicy
+    from repro.core.pool import PoolGeneratorConfig
     from repro.dns.hierarchy import (
-        HierarchySpec,
         compile_hierarchy,
         compile_legacy_tree,
     )
@@ -1072,7 +954,8 @@ def _build_pool_world(spec: ScenarioSpec, seed: int):
 
     # --- DoH providers -------------------------------------------------
     authority = CertificateAuthority("SimRoot CA", registry.stream("ca"))
-    if provider_spec.profiles is None:
+    profiles = provider_spec.profiles
+    if profiles is None:
         if provider_spec.count <= len(FIGURE1_PROVIDERS):
             profiles = FIGURE1_PROVIDERS[:provider_spec.count]
         else:
@@ -1080,26 +963,29 @@ def _build_pool_world(spec: ScenarioSpec, seed: int):
                 provider_spec.count - len(FIGURE1_PROVIDERS),
                 regions=["us-west", "us-east", "eu-west", "eu-central",
                          "asia-east", "asia-south"])
-    else:
-        profiles = [p.to_profile() for p in provider_spec.profiles]
-    resolver_config = (provider_spec.resolver.to_config()
-                       if provider_spec.resolver is not None else None)
     if provider_spec.serve == "doh":
         providers = [
             deploy_provider(internet, profile, authority, root_hints,
-                            registry, resolver_config=resolver_config,
+                            registry, resolver_config=provider_spec.resolver,
                             instrument=iterative)
             for profile in profiles
         ]
     else:
         providers = [
             _deploy_plain_provider(internet, profile, root_hints, registry,
-                                   resolver_config=resolver_config,
+                                   resolver_config=provider_spec.resolver,
                                    instrument=iterative)
             for profile in profiles
         ]
 
     trust_store = TrustStore([authority])
+    # The spec's Algorithm 1 combine policy, translated once: every
+    # generator the world makes defaults to it.
+    generator_config = PoolGeneratorConfig(
+        truncation=TruncationPolicy(pool.truncation),
+        dual_stack=(None if pool.dual_stack_policy is None
+                    else DualStackPolicy(pool.dual_stack_policy)),
+        min_answers=pool.min_answers)
     client = internet.add_host(
         Host("client", "client-edge", [ip(CLIENT_ADDRESS)],
              rng=registry.stream("client-ports")))
@@ -1111,6 +997,7 @@ def _build_pool_world(spec: ScenarioSpec, seed: int):
         dns_servers=dns_servers, root_hints=root_hints,
         access_fault=access_fault, pool_domain=tree.pool_domain,
         hierarchy=tree if iterative else None,
+        generator_config=generator_config,
     )
 
 
@@ -1118,7 +1005,7 @@ def _deploy_plain_provider(internet, profile, root_hints, rng_registry,
                            resolver_config=None, instrument=False):
     """A provider in ``serve="dns"`` mode: recursion engine + plain :53
     only — no TLS identity, no DoH front-end."""
-    from repro.dns.resolver import RecursiveResolver, ResolverConfig
+    from repro.dns.resolver import RecursiveResolver
     from repro.doh.providers import ProviderDeployment
     from repro.netsim.address import IPAddress
     from repro.netsim.host import Host
@@ -1128,7 +1015,7 @@ def _deploy_plain_provider(internet, profile, root_hints, rng_registry,
         rng=rng_registry.stream("provider-ports", profile.name)))
     resolver = RecursiveResolver(
         host, internet.simulator, root_hints,
-        config=resolver_config or ResolverConfig(),
+        config=resolver_config,
         rng=rng_registry.stream("provider-txid", profile.name),
         instrument=instrument)
     return ProviderDeployment(profile=profile, host=host, resolver=resolver,
@@ -1136,19 +1023,20 @@ def _deploy_plain_provider(internet, profile, root_hints, rng_registry,
 
 
 def _materialize_population(spec: ScenarioSpec, seed: int, registry,
-                            window: Optional[Tuple[int, int, int]] = None):
+                            window: Optional[Tuple[int, int]] = None):
     """The population world: the Figure 1 world plus the NTP server
     fleet, the provider corruption and a measured client fleet, with
     optional per-region access edges and a DoH fleet transport.
 
-    ``window`` is the sharding hook: ``(first_index, size, population)``
-    builds the world with a :class:`~repro.population.ClientFleet`
-    covering only that window of the population (``spec.fleet.shards``
-    is ignored — the caller, :class:`ShardedFleet`, owns the split).
+    ``window`` is the sharding hook: ``(first_index, size)`` builds the
+    world with a :class:`~repro.population.ClientFleet` covering only
+    that window of the ``spec.fleet.size`` population
+    (``spec.fleet.shards`` is ignored — the caller,
+    :class:`ShardedFleet`, owns the split).
     """
     from repro.netsim.address import IPAddress
     from repro.ntp.pool import deploy_ntp_fleet
-    from repro.population.fleet import ClientFleet, FleetConfig
+    from repro.population.fleet import ClientFleet
     from repro.scenarios.builders import PopulationScenario
     from repro.telemetry.registry import MetricsRegistry, use_registry
 
@@ -1184,7 +1072,7 @@ def _materialize_population(spec: ScenarioSpec, seed: int, registry,
                                   region.link.to_profile())
                 if region.fault is not None and region.fault.active:
                     topology.set_fault_model(region.node, region.attach,
-                                             region.fault.to_model())
+                                             region.fault)
                 access_nodes.append(region.node)
                 region_links[region.name] = region.link_name
         else:
@@ -1226,27 +1114,14 @@ def _materialize_population(spec: ScenarioSpec, seed: int, registry,
             a for a in attack_addresses
             if a not in forged_list
             and a not in pool_scenario.directory.malicious]
-        first_index, size, population = (
-            window if window is not None
-            else (0, fleet_spec.size, fleet_spec.size))
+        first_index, size = window if window is not None else (0, None)
         fleet = ClientFleet(
             pool_scenario.internet,
             [deployment.address for deployment in pool_scenario.providers],
             pool_scenario.pool_domain, pool_scenario.rng,
-            nodes=access_nodes, first_index=first_index,
-            population=population,
-            config=FleetConfig(
-                num_clients=size, rounds=fleet_spec.rounds,
-                mean_interval=fleet_spec.mean_interval,
-                arrival=fleet_spec.arrival,
-                resolve_every=fleet_spec.resolve_every,
-                churn_rate=fleet_spec.churn_rate,
-                rejoin_delay=fleet_spec.rejoin_delay,
-                min_answers=fleet_spec.min_answers,
-                initial_clock_error=fleet_spec.initial_clock_error,
-                shift_threshold=fleet_spec.shift_threshold,
-                time_bin=spec.telemetry.time_bin,
-                transport=fleet_spec.transport),
+            nodes=access_nodes, config=fleet_spec,
+            first_index=first_index, clients=size,
+            time_bin=spec.telemetry.time_bin,
             attacker_addresses=attackers, registry=registry,
             endpoints=[d.endpoint for d in pool_scenario.providers]
             if fleet_spec.transport == "doh" else None,
@@ -1291,13 +1166,13 @@ __all__ = [
     "AttackContext",
     "AttackSpec",
     "ChaosSpec",
-    "FaultSpec",
+    "DoHProviderProfile",
+    "FaultModel",
     "FleetSpec",
     "HierarchySpec",
     "LinkSpec",
     "NetworkSpec",
     "PoolSpec",
-    "ProfileSpec",
     "ProviderSpec",
     "RESOLVER_MODES",
     "RegionSpec",

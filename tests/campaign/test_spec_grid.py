@@ -75,6 +75,30 @@ class TestOverSpecExpansion:
         ).where(lambda p: p["provider.corrupted"] <= p["provider.count"])
         assert len(grid.points()) == 3
 
+    def test_spec_node_keys_keep_their_seeds(self):
+        # Fault and profile nodes keep the key spelling of the mirror
+        # classes they replaced, so spec-valued axes keep their seeds.
+        from repro.doh.providers import DoHProviderProfile
+        from repro.netsim.link import FaultModel
+        from repro.scenarios.spec import RegionSpec
+        regions = (RegionSpec(name="asia", attach="asia-east",
+                              fault=FaultModel(loss_rate=0.05)),)
+        grid = ParameterGrid.over_spec(population_spec(),
+                                       {"network.regions": (regions,)})
+        assert grid.points()[0].key == (
+            "network.regions=(RegionSpec(name='asia', attach='asia-east', "
+            "link=LinkSpec(latency=0.003, jitter=0.001, loss=0.0), "
+            "fault=FaultSpec(loss_rate=0.05, jitter_s=0.0, "
+            "reorder_window=0.0, reorder_rate=0.25, duplicate_rate=0.0, "
+            "duplicate_gap_s=0.002)),)")
+        profiles = (DoHProviderProfile("dns.example", "us-east",
+                                       "10.54.0.9"),)
+        grid = ParameterGrid.over_spec(pool_spec(num_providers=1),
+                                       {"provider.profiles": (profiles,)})
+        assert grid.points()[0].key == (
+            "provider.profiles=(ProfileSpec(name='dns.example', "
+            "region='us-east', address='10.54.0.9'),)")
+
     def test_points_pickle_for_worker_sharding(self):
         grid = ParameterGrid.over_spec(
             population_spec(), {"fleet.size": (10,)})

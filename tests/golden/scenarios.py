@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, Tuple
 from repro.campaign.trials import spec_trial
 from repro.scenarios.spec import (
     AttackSpec,
-    FaultSpec,
+    FaultModel,
     LinkSpec,
     RegionSpec,
     apply_paths,
@@ -44,7 +44,7 @@ _REGIONS = (
                link=LinkSpec(latency=0.012, jitter=0.003)),
     RegionSpec(name="asia", attach="asia-east",
                link=LinkSpec(latency=0.030, jitter=0.008),
-               fault=FaultSpec(loss_rate=0.05)),
+               fault=FaultModel(loss_rate=0.05)),
 )
 
 _ONPATH = (AttackSpec.of("mitm", at="region:eu", mode="poison",

@@ -8,12 +8,11 @@ depends on.
 import pytest
 
 from repro.dns.rcode import RCode
-from repro.dns.resolver import ResolverConfig
 from repro.dns.rrtype import RRType
 from repro.doh.client import DoHStatus
 from repro.netsim.internet import TapAction
 from repro.netsim.link import LinkProfile
-from repro.scenarios import materialize, pool_spec
+from repro.scenarios import ResolverSpec, materialize, pool_spec
 
 
 class TestDoHTransportRetries:
@@ -108,8 +107,8 @@ class TestPartitions:
 
 class TestUpstreamDnsFailures:
     def test_dead_pool_nameservers_yield_servfail_everywhere(self):
-        config = ResolverConfig(query_timeout=0.3,
-                                max_retries_per_server=0)
+        config = ResolverSpec(query_timeout=0.3,
+                              max_retries_per_server=0)
         scenario = materialize(pool_spec(resolver_config=config), 155)
         topology = scenario.internet.topology
         # ntpns-edge hosts all three pool nameservers.
@@ -128,8 +127,8 @@ class TestUpstreamDnsFailures:
     def test_loss_on_provider_recursion_path_retries(self):
         """Loss between a provider and the DNS tree is absorbed by the
         resolver's own retry logic."""
-        config = ResolverConfig(query_timeout=0.3,
-                                max_retries_per_server=10)
+        config = ResolverSpec(query_timeout=0.3,
+                              max_retries_per_server=10)
         scenario = materialize(pool_spec(resolver_config=config), 156)
         topology = scenario.internet.topology
         # Degrade the nameserver access link.

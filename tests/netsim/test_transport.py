@@ -9,6 +9,7 @@ from repro.netsim.link import LinkProfile
 from repro.netsim.simulator import Simulator
 from repro.netsim.topology import Topology
 from repro.netsim.transport import RetryPolicy, Transport
+from repro.telemetry.registry import MetricsRegistry, use_registry
 from repro.util.rng import RngRegistry
 
 
@@ -99,13 +100,16 @@ class TestDatagramExchange:
         assert report.rtt == pytest.approx(0.02)
 
     def test_timeout_exhausts_attempts(self):
-        world = _World()
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            world = _World()
         report = run_exchange(world, RetryPolicy(timeout=0.5, retries=2))
         assert report.timed_out
         assert report.value is None
         assert report.attempts == 3
         assert world.simulator.now == pytest.approx(1.5)
-        assert world.transport.exchanges_timed_out == 1
+        assert registry.value("transport.timeouts", label="exchange") == 1
+
 
     def test_backoff_timing(self):
         world = _World()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.netsim.simulator import Simulator
-from repro.population import BatchDispatcher, FleetConfig
+from repro.population import BatchDispatcher, FleetSpec
 from repro.scenarios import materialize, population_spec
 
 
@@ -49,16 +49,16 @@ class TestBatchDispatcher:
             BatchDispatcher(simulator).call_after(-1.0, lambda: None)
 
 
-class TestFleetConfig:
+class TestFleetSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
-            FleetConfig(num_clients=0)
+            FleetSpec(size=0)
         with pytest.raises(ValueError):
-            FleetConfig(rounds=0)
+            FleetSpec(rounds=0)
         with pytest.raises(ValueError):
-            FleetConfig(churn_rate=1.5)
+            FleetSpec(churn_rate=1.5)
         with pytest.raises(ValueError):
-            FleetConfig(resolve_every=0)
+            FleetSpec(resolve_every=0)
 
 
 class TestPopulationSemantics:
@@ -224,7 +224,7 @@ class TestBuilderValidation:
         with pytest.raises(ValueError):
             materialize(population_spec(min_answers=4, num_providers=3), 1)
         with pytest.raises(ValueError):
-            FleetConfig(min_answers=0)
+            FleetSpec(min_answers=0)
 
     def test_population_trial_rejects_non_grid_parameters(self):
         from repro.campaign import spec_trial

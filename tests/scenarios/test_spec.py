@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import UnknownPresetError
+from repro.doh.providers import DoHProviderProfile
+from repro.netsim.link import FaultModel
 from repro.scenarios.presets import (
     SPEC_PRESETS,
     e2_grid_base_spec,
@@ -23,12 +25,10 @@ from repro.scenarios.spec import (
     RESOLVER_MODES,
     AttackSpec,
     HierarchySpec,
-    FaultSpec,
     FleetSpec,
     LinkSpec,
     NetworkSpec,
     PoolSpec,
-    ProfileSpec,
     ProviderSpec,
     RegionSpec,
     ResolverSpec,
@@ -52,7 +52,7 @@ small_floats = st.floats(0.0, 10.0, allow_nan=False)
 
 link_specs = st.builds(LinkSpec, latency=small_floats, jitter=small_floats,
                        loss=probabilities)
-fault_specs = st.builds(FaultSpec, loss_rate=probabilities,
+fault_specs = st.builds(FaultModel, loss_rate=probabilities,
                         jitter_s=small_floats, reorder_window=small_floats,
                         reorder_rate=probabilities,
                         duplicate_rate=probabilities,
@@ -123,10 +123,11 @@ class TestRoundTrip:
             json.loads(json.dumps(spec.to_dict()))) == spec
 
     def test_every_spec_type_round_trips(self):
-        for spec in (LinkSpec(latency=0.02), FaultSpec(loss_rate=0.3),
-                     RegionSpec(name="eu", fault=FaultSpec(jitter_s=0.1)),
+        for spec in (LinkSpec(latency=0.02), FaultModel(loss_rate=0.3),
+                     RegionSpec(name="eu", fault=FaultModel(jitter_s=0.1)),
                      NetworkSpec(regions=(RegionSpec(name="x"),)),
-                     ProfileSpec("dns.example", "us-east", "10.54.0.9"),
+                     DoHProviderProfile("dns.example", "us-east",
+                                        "10.54.0.9"),
                      ResolverSpec(query_timeout=1.0),
                      ProviderSpec(count=4, corrupted=2,
                                   forged=("203.0.113.1",)),
@@ -206,7 +207,7 @@ class TestDottedPaths:
 
     def test_whole_subtree_replacement(self):
         spec = set_path(pool_spec(), "network.fault",
-                        FaultSpec(loss_rate=0.5))
+                        FaultModel(loss_rate=0.5))
         assert spec.network.fault.loss_rate == 0.5
 
     def test_bad_paths_raise(self):
@@ -254,7 +255,7 @@ class TestMaterializeExtensions:
                               link=LinkSpec(latency=0.002)),
                    RegionSpec(name="asia", attach="asia-east",
                               link=LinkSpec(latency=0.040),
-                              fault=FaultSpec(loss_rate=0.4)))
+                              fault=FaultModel(loss_rate=0.4)))
         spec = set_path(population_spec(num_clients=10, rounds=2),
                         "network.regions", regions)
         world = materialize(spec, 23)
@@ -298,6 +299,89 @@ class TestMaterializeExtensions:
     def test_materialize_rejects_non_spec(self):
         with pytest.raises(ConfigurationError, match="ScenarioSpec"):
             materialize({"fleet": None}, 1)
+
+
+class TestSpecTimeValidation:
+    """Each setting has one validator, and it runs when the spec is
+    built or parsed — not later, inside ``materialize``."""
+
+    def test_fault_out_of_range_raises_at_construction(self):
+        with pytest.raises(ValueError, match="loss_rate"):
+            pool_spec(loss_rate=2.0)
+
+    def test_fault_out_of_range_raises_in_from_dict(self):
+        with pytest.raises(ValueError, match="loss_rate"):
+            NetworkSpec.from_dict({"fault": {"loss_rate": 2.0}})
+
+    def test_resolver_txid_bits_raise_at_construction(self):
+        with pytest.raises(ValueError, match="txid_bits"):
+            ResolverSpec(txid_bits=0)
+
+    def test_fleet_rounds_raise_at_construction(self):
+        with pytest.raises(ConfigurationError, match="rounds"):
+            FleetSpec(rounds=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("size", 0), ("resolve_every", 0), ("churn_rate", 1.5),
+        ("min_answers", 0)])
+    def test_fleet_ranges_raise_at_construction(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            FleetSpec(**{field: value})
+
+    def test_fleet_size_bound_raises_in_from_dict(self):
+        with pytest.raises(ConfigurationError, match="size"):
+            ScenarioSpec.from_dict(
+                {"fleet": {"size": 10 ** 9}, "provider": {}})
+
+    def test_bare_resolver_config_is_not_a_resolver_spec(self):
+        from repro.dns.resolver import ResolverConfig
+        with pytest.raises(ConfigurationError, match="ResolverSpec"):
+            ProviderSpec(resolver=ResolverConfig())
+
+
+class TestCompilerPassThrough:
+    """The compiler hands spec nodes to the world unchanged."""
+
+    def test_resolver_spec_is_the_providers_config(self):
+        spec = pool_spec(resolver_config=ResolverSpec(query_timeout=1.0))
+        world = materialize(spec, 3)
+        for deployment in world.providers:
+            assert deployment.resolver.config is spec.provider.resolver
+
+    def test_population_nodes_reach_the_world(self):
+        spec = set_path(population_spec(num_clients=4, rounds=1),
+                        "provider.resolver", ResolverSpec())
+        world = materialize(spec, 3)
+        assert world.pool.providers[0].resolver.config \
+            is spec.provider.resolver
+        assert world.fleet.config is spec.fleet
+
+    def test_fault_and_profiles_reach_the_world(self):
+        profiles = (DoHProviderProfile("dns.example", "us-east",
+                                       "10.54.0.9"),)
+        spec = pool_spec(num_providers=1, profiles=profiles,
+                         loss_rate=0.1)
+        world = materialize(spec, 3)
+        assert world.providers[0].profile is profiles[0]
+        assert world.access_fault is spec.network.fault
+        link = world.internet.topology.link_between("client-edge",
+                                                    "eu-central")
+        assert link.fault is spec.network.fault
+
+    def test_pool_combine_policy_reaches_the_generator(self):
+        # The spec's quorum must govern the world's own generator: an
+        # empty-answering corrupted provider is dropped, not a DoS.
+        spec = pool_spec(pool_size=24)
+        for path, value in (("provider.corrupted", 1),
+                            ("provider.behavior", "empty"),
+                            ("pool.min_answers", 2)):
+            spec = set_path(spec, path, value)
+        world = materialize(spec, 3)
+        assert world.make_generator().config.min_answers == 2
+        pool = world.generate_pool_sync()
+        assert pool.ok
+        assert len(pool.addresses) == 8
+        assert pool.degraded
 
 
 class TestPresetRegistry:
